@@ -2,11 +2,8 @@
 // recorder that unifies every instrumentation path in the library.
 //
 // The paper's argument is read off execution traces (Figure 2's kernel
-// timeline, Figure 1's phase breakdown); before this layer each producer
-// (sy2sb/sb2st/q2 graphs, stedc's merge tree, syev_batch) kept its own
-// TraceEvent vector with its own per-run epoch, so a full syev could not be
-// inspected as one timeline.  Design, following StarNEig-style task-library
-// tracing:
+// timeline, Figure 1's phase breakdown).  Design, following StarNEig-style
+// task-library tracing:
 //
 //  * ONE epoch: every timestamp is seconds since a single process-wide
 //    steady_clock origin (epoch_seconds/now_seconds).  TaskGraph, the solver

@@ -34,10 +34,13 @@ struct GraphWorkerGuard {
 };
 
 /// Installs the dynamic-checker context for one task body (see
-/// validate.hpp); no-op when the graph is not validating.
+/// validate.hpp); no-op when the graph is not validating.  The enclosing
+/// context is saved and restored, like GraphWorkerGuard's worker id, so a
+/// task that runs a nested graph keeps its own checks afterwards.
 struct ActiveTaskGuard {
   bool installed;
   detail::ActiveTask at;
+  const detail::ActiveTask* saved = nullptr;
   ActiveTaskGuard(bool validate, const std::vector<Access>* accesses,
                   const char* label, idx id, const RegionMap* map)
       : installed(validate) {
@@ -46,10 +49,11 @@ struct ActiveTaskGuard {
     at.label = label != nullptr ? label : "";
     at.task_id = id;
     at.map = map;
+    saved = detail::tl_active_task;
     detail::tl_active_task = &at;
   }
   ~ActiveTaskGuard() {
-    if (installed) detail::tl_active_task = nullptr;
+    if (installed) detail::tl_active_task = saved;
   }
 };
 
@@ -164,7 +168,6 @@ void TaskGraph::run_elided() {
       }
     }
     const double t1 = obs::now_seconds();
-    if (tracing_) trace_.push_back({t.label, -1, 0, t0, t1});
     if (observing) {
       durations[static_cast<size_t>(id)] = t1 - t0;
       obs::record_span(t.label, t0, t1);
@@ -174,10 +177,7 @@ void TaskGraph::run_elided() {
   tasks_.clear();
   regions_.clear();
   edge_count_ = 0;
-  if (first_error) {
-    trace_.clear();
-    std::rethrow_exception(first_error);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void TaskGraph::record_run(int num_workers, double run_start,
@@ -213,7 +213,6 @@ void TaskGraph::run(int num_workers) {
   // execute on the calling thread only -- the outer graph's workers already
   // own the machine.
   if (ThreadPool::in_parallel_region()) num_workers = 1;
-  trace_.clear();
 
   if (validate_) {
     try {
@@ -417,9 +416,6 @@ void TaskGraph::run(int num_workers) {
         waits.max_seconds = std::max(waits.max_seconds, wait);
         obs::record_histogram(obs::Histogram::task_wait, wait);
       }
-      if (tracing_) {
-        trace_.push_back({t.label, -1, worker_id, t0, t1});
-      }
       bool woke_pinned_other = false;
       for (idx s : t.successors) {
         Task& succ = tasks_[static_cast<size_t>(s)];
@@ -449,10 +445,7 @@ void TaskGraph::run(int num_workers) {
   tasks_.clear();
   regions_.clear();
   edge_count_ = 0;
-  if (first_error) {
-    trace_.clear();
-    std::rethrow_exception(first_error);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace tseig::rt

@@ -121,7 +121,6 @@ struct ThreadPool::Impl {
         cost.hwc_valid = hd.valid;
         obs::record_phase_cost(obs::current_phase(), cost);
       }
-      finish_body(*t.batch);
       lock.lock();
       --busy;
       obs::WorkerMetric& wm = wtimes[static_cast<size_t>(id)];
@@ -134,6 +133,10 @@ struct ThreadPool::Impl {
         wm.stalled_cycles += hd.stalled_cycles;
         wm.hwc_valid |= hd.valid;
       }
+      // Wake the fork_join caller only once this worker no longer counts as
+      // busy: a back-to-back fork_join would otherwise see it busy and grow
+      // the pool.  Lock order is mu -> b.m; nothing takes mu under b.m.
+      finish_body(*t.batch);
     }
   }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "blas/blas3.hpp"
 #include "common/flops.hpp"
@@ -37,34 +39,6 @@ idx subset_size(idx n, const SyevOptions& opts) {
   if (opts.job == jobz::values_only) return 0;
   const double f = std::clamp(opts.fraction, 0.0, 1.0);
   return std::max<idx>(1, static_cast<idx>(std::llround(f * static_cast<double>(n))));
-}
-
-/// Subset eigen-solution of the tridiagonal (d, e): bisection eigenvalues
-/// honoring the range selection, then inverse iteration when vectors are
-/// requested.  Returns the eigenvalues; fills z (n-by-w.size()).
-std::vector<double> tridiag_subset(idx n, const double* d, const double* e,
-                                   const SyevOptions& opts, idx m_default,
-                                   Matrix& z) {
-  std::vector<double> w;
-  switch (opts.sel) {
-    case range::by_index:
-      require(0 <= opts.il && opts.il <= opts.iu && opts.iu < n,
-              "syev: bad index range");
-      w = tridiag::stebz_index(n, d, e, opts.il, opts.iu);
-      break;
-    case range::by_value:
-      require(opts.vl < opts.vu, "syev: bad value range");
-      w = tridiag::stebz_value(n, d, e, opts.vl, opts.vu);
-      break;
-    case range::all:
-      w = tridiag::stebz_index(n, d, e, 0, m_default - 1);
-      break;
-  }
-  if (opts.job == jobz::vectors && !w.empty()) {
-    z.reshape(n, static_cast<idx>(w.size()));
-    tridiag::stein(n, d, e, w, z.data(), z.ld());
-  }
-  return w;
 }
 
 /// Phase timing helper: runs fn under the named telemetry phase,
@@ -110,123 +84,68 @@ void timed(obs::Phase phase, const char* label, double& seconds,
   }
 }
 
-/// Closed-form lane driver for n <= 3: one kernel call replaces every
-/// pipeline phase, then the same range/fraction selection semantics as
-/// tridiag_subset are applied to the full (ascending) spectrum.  The whole
-/// lane is accounted under the solve phase (reduction and update are
-/// genuinely zero work here).
-SyevResult solve_small_n(idx n, const double* a, idx lda,
-                         const SyevOptions& opts) {
-  SyevResult res;
-  timed(obs::Phase::small_n, "small_n", res.phases.solve_seconds,
-        res.phases.solve_flops,
-        [&] { res = small::solve_lane(n, a, lda, opts); });
-  return res;
+/// Tridiagonal-solve tail of the pipeline (Table 1's phase-2 solvers).
+enum class Tail { values, subset, qr, dc };
+
+Tail tail_of(const SyevOptions& o) {
+  if (o.sel != range::all || o.solver == eig_solver::bisect)
+    return Tail::subset;  // MRRR role: bisection + inverse iteration
+  if (o.job == jobz::values_only) return Tail::values;
+  return o.solver == eig_solver::qr ? Tail::qr : Tail::dc;
 }
 
-SyevResult solve_one_stage(idx n, const double* a, idx lda,
-                           const SyevOptions& opts) {
-  SyevResult res;
-  const idx m = subset_size(n, opts);
+/// Phase 1 output: T = tridiag(d, e) and the back-transform Z <- Q Z that
+/// maps T's eigenvectors (z's columns) to A's.
+struct Reduction {
+  std::vector<double> d, e;
+  std::function<void(Matrix&)> back_transform;
+  /// One-stage QR tail only: Q formed explicitly (Table 1's "Gen Q"), in
+  /// which steqr's rotations accumulate; back_transform is then unset.
+  Matrix q;
+};
 
+Reduction reduce_one_stage(idx n, const double* a, idx lda,
+                           const SyevOptions& opts, bool gen_q,
+                           PhaseBreakdown& ph) {
   Matrix work(n, n);
   lapack::lacpy(n, n, a, lda, work.data(), work.ld());
-  std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n)),
-      tau(static_cast<size_t>(n));
-
-  timed(obs::Phase::sytrd, "sytrd", res.phases.reduction_seconds,
-        res.phases.reduction_flops, [&] {
-    onestage::sytrd(n, work.data(), work.ld(), d.data(), e.data(), tau.data(),
-                    opts.nb);
+  Reduction red;
+  red.d.resize(static_cast<size_t>(n));
+  red.e.resize(static_cast<size_t>(n));
+  std::vector<double> tau(static_cast<size_t>(n));
+  timed(obs::Phase::sytrd, "sytrd", ph.reduction_seconds, ph.reduction_flops,
+        [&] {
+    onestage::sytrd(n, work.data(), work.ld(), red.d.data(), red.e.data(),
+                    tau.data(), opts.nb);
   });
-
-  if (opts.job == jobz::values_only && opts.sel == range::all &&
-      opts.solver != eig_solver::bisect) {
-    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-          res.phases.solve_flops,
-          [&] { lapack::sterf(n, d.data(), e.data()); });
-    res.eigenvalues = d;
-    return res;
-  }
-  if (opts.sel != range::all || opts.solver == eig_solver::bisect) {
-    // Subset path (MRRR role): bisection + inverse iteration.
-    std::vector<double> w;
-    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-          res.phases.solve_flops,
+  if (gen_q) {
+    red.q = Matrix(n, n);
+    timed(obs::Phase::update, "gen_q", ph.update_seconds, ph.update_flops,
           [&] {
-            w = tridiag_subset(
-                n, d.data(), e.data(), opts,
-                opts.job == jobz::values_only ? n : m, res.z);
-          });
-    res.eigenvalues = w;
-    if (opts.job == jobz::vectors && res.z.cols() > 0) {
-      timed(obs::Phase::update, "update", res.phases.update_seconds,
-            res.phases.update_flops, [&] {
-        onestage::ormtr(op::none, n, res.z.cols(), work.data(), work.ld(),
-                        tau.data(), res.z.data(), res.z.ld(), opts.nb);
-      });
-    }
-    return res;
+      lapack::laset(n, n, 0.0, 1.0, red.q.data(), red.q.ld());
+      onestage::ormtr(op::none, n, n, work.data(), work.ld(), tau.data(),
+                      red.q.data(), red.q.ld(), opts.nb);
+    });
+    return red;
   }
-
-  switch (opts.solver) {
-    case eig_solver::qr: {
-      // Q built explicitly (Table 1's "Gen Q"), rotations accumulate in it.
-      Matrix q(n, n);
-      timed(obs::Phase::update, "gen_q", res.phases.update_seconds,
-            res.phases.update_flops, [&] {
-        lapack::laset(n, n, 0.0, 1.0, q.data(), q.ld());
-        onestage::ormtr(op::none, n, n, work.data(), work.ld(), tau.data(),
-                        q.data(), q.ld(), opts.nb);
-      });
-      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-            res.phases.solve_flops, [&] {
-        lapack::steqr(n, d.data(), e.data(), q.data(), q.ld(), n);
-      });
-      // SyevResult invariant: with vectors, eigenvalues match z's columns
-      // (the m smallest), on every solver path.
-      res.eigenvalues.assign(d.begin(), d.begin() + m);
-      res.z.reshape(n, m);
-      lapack::lacpy(n, m, q.data(), q.ld(), res.z.data(), res.z.ld());
-      break;
-    }
-    case eig_solver::dc: {
-      Matrix evec(n, n);
-      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-            res.phases.solve_flops, [&] {
-        tridiag::StedcOptions sopts;
-        sopts.crossover = opts.dc_crossover;
-        sopts.num_workers = opts.num_workers;
-        tridiag::stedc(n, d.data(), e.data(), evec.data(), evec.ld(), sopts);
-      });
-      res.eigenvalues.assign(d.begin(), d.begin() + m);
-      res.z.reshape(n, m);
-      lapack::lacpy(n, m, evec.data(), evec.ld(), res.z.data(), res.z.ld());
-      timed(obs::Phase::update, "update", res.phases.update_seconds,
-            res.phases.update_flops, [&] {
-        onestage::ormtr(op::none, n, m, work.data(), work.ld(), tau.data(),
-                        res.z.data(), res.z.ld(), opts.nb);
-      });
-      break;
-    }
-    case eig_solver::bisect:
-      break;  // handled by the subset path above
-  }
-  return res;
+  red.back_transform = [n, work = std::move(work), tau = std::move(tau),
+                        nb = opts.nb](Matrix& z) {
+    onestage::ormtr(op::none, n, z.cols(), work.data(), work.ld(), tau.data(),
+                    z.data(), z.ld(), nb);
+  };
+  return red;
 }
 
-SyevResult solve_two_stage(idx n, const double* a, idx lda,
-                           const SyevOptions& opts) {
-  SyevResult res;
-  const idx m = subset_size(n, opts);
+Reduction reduce_two_stage(idx n, const double* a, idx lda,
+                           const SyevOptions& opts, PhaseBreakdown& ph) {
   // Band width can never exceed n - 1 (the previous max(2, n-1) clamp let
   // nb = 2 through for n <= 2, feeding sy2sb a band wider than the matrix);
   // n == 1 degenerates to the 1x1 "band" nb = 1 that sy2sb accepts.
   const idx nb = std::min(opts.nb, std::max<idx>(1, n - 1));
 
   twostage::Sy2sbResult s1;
-  timed(obs::Phase::stage1, "stage1", res.phases.stage1_seconds,
-        res.phases.reduction_flops, [&] {
+  timed(obs::Phase::stage1, "stage1", ph.stage1_seconds, ph.reduction_flops,
+        [&] {
     twostage::Sy2sbOptions o1;
     o1.num_workers = opts.num_workers;
     o1.lookahead = opts.lookahead;
@@ -234,8 +153,8 @@ SyevResult solve_two_stage(idx n, const double* a, idx lda,
   });
 
   twostage::Sb2stResult s2;
-  timed(obs::Phase::stage2, "stage2", res.phases.stage2_seconds,
-        res.phases.reduction_flops, [&] {
+  timed(obs::Phase::stage2, "stage2", ph.stage2_seconds, ph.reduction_flops,
+        [&] {
     twostage::Sb2stOptions o2;
     o2.num_workers = opts.num_workers;
     o2.stage2_workers = opts.stage2_workers;
@@ -243,107 +162,119 @@ SyevResult solve_two_stage(idx n, const double* a, idx lda,
     o2.successive = opts.successive_bands;
     s2 = twostage::sb2st(s1.band, o2);
   });
-  res.phases.reduction_seconds =
-      res.phases.stage1_seconds + res.phases.stage2_seconds;
+  ph.reduction_seconds = ph.stage1_seconds + ph.stage2_seconds;
 
-  std::vector<double>& d = s2.d;
-  std::vector<double>& e = s2.e;
-
-  if (opts.job == jobz::values_only && opts.sel == range::all &&
-      opts.solver != eig_solver::bisect) {
-    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-          res.phases.solve_flops,
-          [&] { lapack::sterf(n, d.data(), e.data()); });
-    res.eigenvalues = d;
-    return res;
-  }
-  if (opts.sel != range::all || opts.solver == eig_solver::bisect) {
-    // Subset path; back-transformation below handles whatever came back.
-    std::vector<double> w;
-    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-          res.phases.solve_flops,
-          [&] {
-            w = tridiag_subset(
-                n, d.data(), e.data(), opts,
-                opts.job == jobz::values_only ? n : m, res.z);
-          });
-    res.eigenvalues = w;
-    if (opts.job == jobz::vectors && res.z.cols() > 0) {
-      timed(obs::Phase::update, "update", res.phases.update_seconds,
-            res.phases.update_flops, [&] {
-        twostage::apply_q2(op::none, s2.v2, res.z.data(), res.z.ld(),
-                           res.z.cols(), opts.ell, opts.num_workers);
-        // Successive band reduction: outer levels re-applied innermost
-        // first (Q2 = pre_levels[0] * ... * v2).
-        for (auto it = s2.pre_levels.rbegin(); it != s2.pre_levels.rend();
-             ++it) {
-          twostage::apply_q2(op::none, *it, res.z.data(), res.z.ld(),
-                             res.z.cols(), opts.ell, opts.num_workers);
-        }
-        twostage::apply_q1(op::none, s1.q1, res.z.data(), res.z.ld(),
-                           res.z.cols(), opts.num_workers);
-      });
-    }
-    return res;
-  }
-
-  // Phase 2: eigenpairs of T.
-  switch (opts.solver) {
-    case eig_solver::qr: {
-      Matrix evec(n, n);
-      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-            res.phases.solve_flops, [&] {
-        lapack::laset(n, n, 0.0, 1.0, evec.data(), evec.ld());
-        lapack::steqr(n, d.data(), e.data(), evec.data(), evec.ld(), n);
-      });
-      // SyevResult invariant: eigenvalues match z's m columns on every path.
-      res.eigenvalues.assign(d.begin(), d.begin() + m);
-      res.z.reshape(n, m);
-      lapack::lacpy(n, m, evec.data(), evec.ld(), res.z.data(), res.z.ld());
-      break;
-    }
-    case eig_solver::dc: {
-      Matrix evec(n, n);
-      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-            res.phases.solve_flops, [&] {
-        tridiag::StedcOptions sopts;
-        sopts.crossover = opts.dc_crossover;
-        sopts.num_workers = opts.num_workers;
-        tridiag::stedc(n, d.data(), e.data(), evec.data(), evec.ld(), sopts);
-      });
-      res.eigenvalues.assign(d.begin(), d.begin() + m);
-      res.z.reshape(n, m);
-      lapack::lacpy(n, m, evec.data(), evec.ld(), res.z.data(), res.z.ld());
-      break;
-    }
-    case eig_solver::bisect:
-      break;  // handled by the subset path above
-  }
-
+  Reduction red;
+  red.d = std::move(s2.d);
+  red.e = std::move(s2.e);
   // Back-transformation Z = Q1 Q2 E (Eq. 3): the 4 n^3 f phase that the
   // diamond-blocked Q2 and tiled Q1 keep compute-bound.
-  timed(obs::Phase::update, "update", res.phases.update_seconds,
-        res.phases.update_flops, [&] {
-    twostage::apply_q2(op::none, s2.v2, res.z.data(), res.z.ld(), m, opts.ell,
-                       opts.num_workers);
+  red.back_transform = [s1 = std::move(s1), s2 = std::move(s2),
+                        ell = opts.ell, workers = opts.num_workers](Matrix& z) {
+    twostage::apply_q2(op::none, s2.v2, z.data(), z.ld(), z.cols(), ell,
+                       workers);
     // Successive band reduction: outer levels re-applied innermost first
     // (Q2 = pre_levels[0] * ... * v2).
-    for (auto it = s2.pre_levels.rbegin(); it != s2.pre_levels.rend(); ++it) {
-      twostage::apply_q2(op::none, *it, res.z.data(), res.z.ld(), m, opts.ell,
-                         opts.num_workers);
+    for (auto it = s2.pre_levels.rbegin(); it != s2.pre_levels.rend(); ++it)
+      twostage::apply_q2(op::none, *it, z.data(), z.ld(), z.cols(), ell,
+                         workers);
+    twostage::apply_q1(op::none, s1.q1, z.data(), z.ld(), z.cols(), workers);
+  };
+  return red;
+}
+
+/// The pipeline: reduce to (d, e), solve T with the selected tail, then
+/// back-transform the eigenvectors once.
+SyevResult solve_pipeline(idx n, const double* a, idx lda,
+                          const SyevOptions& opts) {
+  SyevResult res;
+  const idx m = subset_size(n, opts);
+  const Tail tail = tail_of(opts);
+  Reduction red =
+      opts.algo == method::one_stage
+          ? reduce_one_stage(n, a, lda, opts, tail == Tail::qr, res.phases)
+          : reduce_two_stage(n, a, lda, opts, res.phases);
+  std::vector<double>& d = red.d;
+  std::vector<double>& e = red.e;
+
+  switch (tail) {
+    case Tail::values:
+      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
+            res.phases.solve_flops,
+            [&] { lapack::sterf(n, d.data(), e.data()); });
+      res.eigenvalues = std::move(d);
+      return res;
+    case Tail::subset:
+      // Bisection honoring the range selection, then inverse iteration when
+      // vectors are requested.
+      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
+            res.phases.solve_flops, [&] {
+        std::vector<double>& w = res.eigenvalues;
+        if (opts.sel == range::by_index)
+          w = tridiag::stebz_index(n, d.data(), e.data(), opts.il, opts.iu);
+        else if (opts.sel == range::by_value)
+          w = tridiag::stebz_value(n, d.data(), e.data(), opts.vl, opts.vu);
+        else
+          w = tridiag::stebz_index(n, d.data(), e.data(), 0,
+                                   (opts.job == jobz::values_only ? n : m) - 1);
+        if (opts.job == jobz::vectors && !w.empty()) {
+          res.z.reshape(n, static_cast<idx>(w.size()));
+          tridiag::stein(n, d.data(), e.data(), w, res.z.data(), res.z.ld());
+        }
+      });
+      break;
+    case Tail::qr:
+    case Tail::dc: {
+      const bool have_q = red.q.rows() > 0;
+      Matrix evec = have_q ? std::move(red.q) : Matrix(n, n);
+      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
+            res.phases.solve_flops, [&] {
+        if (tail == Tail::dc) {
+          tridiag::StedcOptions sopts;
+          sopts.crossover = opts.dc_crossover;
+          sopts.num_workers = opts.num_workers;
+          tridiag::stedc(n, d.data(), e.data(), evec.data(), evec.ld(), sopts);
+          return;
+        }
+        if (!have_q) lapack::laset(n, n, 0.0, 1.0, evec.data(), evec.ld());
+        lapack::steqr(n, d.data(), e.data(), evec.data(), evec.ld(), n);
+      });
+      // SyevResult invariant: with vectors, eigenvalues match z's columns
+      // (the m smallest), on every solver path.
+      res.eigenvalues.assign(d.begin(), d.begin() + m);
+      res.z.reshape(n, m);
+      lapack::lacpy(n, m, evec.data(), evec.ld(), res.z.data(), res.z.ld());
+      break;
     }
-    twostage::apply_q1(op::none, s1.q1, res.z.data(), res.z.ld(), m,
-                       opts.num_workers);
-  });
+  }
+  if (red.back_transform && res.z.cols() > 0)
+    timed(obs::Phase::update, "update", res.phases.update_seconds,
+          res.phases.update_flops, [&] { red.back_transform(res.z); });
   return res;
 }
 
 }  // namespace
 
-SyevResult syev(idx n, const double* a, idx lda, const SyevOptions& opts) {
+void require_valid_input(idx n, const double* a, idx lda,
+                         const SyevOptions& opts) {
   require(n >= 1, "syev: empty matrix");
   require(opts.fraction > 0.0 && opts.fraction <= 1.0,
           "syev: fraction must be in (0, 1]");
+  if (opts.sel == range::by_index)
+    require(0 <= opts.il && opts.il <= opts.iu && opts.iu < n,
+            "syev: bad index range");
+  if (opts.sel == range::by_value)
+    require(opts.vl < opts.vu, "syev: bad value range");
+  for (idx j = 0; j < n; ++j)
+    for (idx i = j; i < n; ++i)
+      if (!std::isfinite(a[i + j * lda]))
+        throw invalid_argument("syev: non-finite entry a(" +
+                               std::to_string(i) + ", " + std::to_string(j) +
+                               ") = " + std::to_string(a[i + j * lda]));
+}
+
+SyevResult syev(idx n, const double* a, idx lda, const SyevOptions& opts) {
+  require_valid_input(n, a, lda, opts);
   SyevOptions o = opts;
   if (o.nb <= 0) o.nb = auto_nb(n);
   // Clamp once so a user-supplied nb > n never reaches the kernels (sytrd
@@ -388,10 +319,16 @@ SyevResult syev(idx n, const double* a, idx lda, const SyevOptions& opts) {
   if (obs::enabled() && !nested)
     obs::set_run_meta({"syev", n, o.nb, o.num_workers});
 
-  SyevResult res =
-      small::lane_eligible(n, o) ? solve_small_n(n, a, lda, o)
-      : o.algo == method::one_stage ? solve_one_stage(n, a, lda, o)
-                                    : solve_two_stage(n, a, lda, o);
+  SyevResult res;
+  if (small::lane_eligible(n, o)) {
+    // Closed-form lane for n <= 3: one kernel call replaces every pipeline
+    // phase, so the whole lane is accounted under the solve phase.
+    timed(obs::Phase::small_n, "small_n", res.phases.solve_seconds,
+          res.phases.solve_flops,
+          [&] { res = small::solve_lane(n, a, lda, o); });
+  } else {
+    res = solve_pipeline(n, a, lda, o);
+  }
   if (per_solve) {
     const obs::Snapshot snap = obs::snapshot();
     if (!o.trace_path.empty()) obs::write_chrome_trace_file(snap, o.trace_path);

@@ -96,7 +96,7 @@ struct SyevOptions {
   bool small_n_closed_form = true;
   /// Per-solve telemetry export (tseig::obs): non-empty paths turn recording
   /// on for this call and write a Chrome/Perfetto trace and/or a
-  /// "tseig-metrics-v1" JSON when the solve returns.  Independent of the
+  /// "tseig-metrics-v2" JSON when the solve returns.  Independent of the
   /// process-wide TSEIG_TRACE / TSEIG_METRICS environment activation (which
   /// records everything and exports once at process exit).
   std::string trace_path;
@@ -134,6 +134,14 @@ struct SyevResult {
   Matrix z;
   PhaseBreakdown phases;
 };
+
+/// Throws invalid_argument, naming the cause, unless syev() can solve this
+/// problem: n >= 1, fraction in (0, 1], a well-formed by_index / by_value
+/// range, and a finite lower triangle (the first NaN/Inf entry is named).
+/// syev() and syev_batch() run it before any work, so bad input never
+/// reaches the O(n^3) reduction.
+void require_valid_input(idx n, const double* a, idx lda,
+                         const SyevOptions& opts);
 
 /// Solves the dense symmetric eigenproblem for A (lower triangle referenced,
 /// not modified).

@@ -44,6 +44,7 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
     require(p.n >= 1, "syev_batch: problem with empty matrix");
     require(p.a != nullptr, "syev_batch: problem with null matrix pointer");
     require(p.lda >= p.n, "syev_batch: problem with lda < n");
+    require_valid_input(p.n, p.a, p.lda, p.opts);
   }
 
   SyevBatchResult out;

@@ -295,14 +295,6 @@ bool lane_eligible(idx n, const SyevOptions& opts) {
   return n <= kMaxN && opts.small_n_closed_form && env_enabled();
 }
 
-void require_finite(idx n, const double* a, idx lda) {
-  for (idx j = 0; j < n; ++j)
-    for (idx i = j; i < n; ++i)
-      require(std::isfinite(a[i + j * lda]),
-              "syev: non-finite entry in the matrix (small-n closed-form "
-              "lane rejects NaN/Inf input)");
-}
-
 bool eigen_small(idx n, const double* a, idx lda, double* w, double* v,
                  idx ldv) {
   require(n >= 1 && n <= kMaxN, "eigen_small: n must be in [1, 3]");
@@ -345,25 +337,20 @@ bool eigen_small(idx n, const double* a, idx lda, double* w, double* v,
 SyevResult solve_lane(idx n, const double* a, idx lda,
                       const SyevOptions& opts) {
   require(n >= 1 && n <= kMaxN, "syev: lane called with n > 3");
-  require(opts.fraction > 0.0 && opts.fraction <= 1.0,
-          "syev: fraction must be in (0, 1]");
   SyevResult res;
-  require_finite(n, a, lda);
   double w[3];
   double v[9];
   eigen_small(n, a, lda, w, v, n);
-  // Selection over the full ascending spectrum, mirroring tridiag_subset:
-  // [lo, hi) is the selected index window.
+  // Selection over the full ascending spectrum, mirroring the pipeline's
+  // subset tail: [lo, hi) is the selected index window.  The options were
+  // checked up front (require_valid_input).
   idx lo = 0, hi = n;
   switch (opts.sel) {
     case range::by_index:
-      require(0 <= opts.il && opts.il <= opts.iu && opts.iu < n,
-              "syev: bad index range");
       lo = opts.il;
       hi = opts.iu + 1;
       break;
     case range::by_value:
-      require(opts.vl < opts.vu, "syev: bad value range");
       while (lo < n && !(w[lo] > opts.vl)) ++lo;
       hi = lo;
       while (hi < n && w[hi] <= opts.vu) ++hi;

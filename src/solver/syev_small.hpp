@@ -49,18 +49,13 @@ bool env_enabled();
 /// lane: n <= kMaxN, the option is on and the environment does not veto it.
 bool lane_eligible(idx n, const SyevOptions& opts);
 
-/// Throws invalid_argument when any referenced (lower-triangle) entry is NaN
-/// or infinite.  The closed-form kernels have no iteration whose divergence
-/// would flag bad input, so the lane rejects it up front; the full pipeline
-/// keeps its historical garbage-in/garbage-out behavior.
-void require_finite(idx n, const double* a, idx lda);
-
 /// Computes all eigenvalues (w[0..n), ascending) and eigenvectors (columns
 /// of the n-by-n matrix v, ldv >= n) of the symmetric matrix whose lower
-/// triangle is stored in `a`.  Input must be finite (see require_finite).
-/// Returns true when the closed-form path produced the result, false when
-/// the n = 3 quality gate engaged the QL fallback.  Deterministic: repeated
-/// calls on the same bytes yield identical bytes.
+/// triangle is stored in `a`.  Input must be finite (see
+/// solver::require_valid_input).  Returns true when the closed-form path
+/// produced the result, false when the n = 3 quality gate engaged the QL
+/// fallback.  Deterministic: repeated calls on the same bytes yield
+/// identical bytes.
 bool eigen_small(idx n, const double* a, idx lda, double* w, double* v,
                  idx ldv);
 
@@ -70,9 +65,10 @@ inline constexpr std::int64_t kFlops1 = 1;
 inline constexpr std::int64_t kFlops2 = 28;
 inline constexpr std::int64_t kFlops3 = 156;
 
-/// The complete lane solve: input validation, eigen_small and the same
-/// jobz/range/fraction selection semantics as the full pipeline, but WITHOUT
-/// any timing or telemetry bookkeeping.  Callers own the accounting:
+/// The complete lane solve: eigen_small and the same jobz/range/fraction
+/// selection semantics as the full pipeline, but WITHOUT input validation
+/// (callers run solver::require_valid_input first) or any timing or
+/// telemetry bookkeeping.  Callers own the accounting:
 /// solver::syev wraps this in its phase-timing helper, and the batch's
 /// tiny-chunk tasks stamp it with one clock-read pair per problem (the
 /// per-call overhead of the general syev() entry -- option resolution,

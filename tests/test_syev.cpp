@@ -2,6 +2,7 @@
 // reduction method, tridiagonal solver, job and fraction.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -202,6 +203,27 @@ TEST(Syev, RejectsBadArguments) {
   EXPECT_THROW(solver::syev(4, a.data(), a.ld(), opts), invalid_argument);
   opts.fraction = 1.0;
   EXPECT_THROW(solver::syev(0, a.data(), a.ld(), opts), invalid_argument);
+}
+
+TEST(Syev, RejectsNonFiniteInputNamingTheEntry) {
+  // Bad input is rejected before the reduction, on both pipelines, with the
+  // offending lower-triangle entry named.
+  const idx n = 64;
+  Rng rng(43);
+  Matrix a = testing::random_symmetric(n, rng);
+  a(40, 17) = std::numeric_limits<double>::quiet_NaN();
+  for (method algo : {method::two_stage, method::one_stage}) {
+    SyevOptions opts;
+    opts.algo = algo;
+    try {
+      solver::syev(n, a.data(), a.ld(), opts);
+      FAIL() << "expected invalid_argument";
+    } catch (const invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite entry a(40, 17)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Syev, TinyMatrices) {

@@ -4,12 +4,14 @@
 // record must be internally consistent.
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/flops.hpp"
 #include "common/rng.hpp"
 #include "matgen.hpp"
 #include "obs/telemetry.hpp"
@@ -367,6 +369,25 @@ TEST(SyevBatch, RejectsMalformedProblemsBeforeSolving) {
   BatchProblem bad_lda = good;
   bad_lda.lda = 4;
   EXPECT_THROW(syev_batch({good, bad_lda}), invalid_argument);
+
+  // A non-finite entry in the last problem: rejected, naming the entry,
+  // before any problem is solved (not a single flop runs).
+  Matrix nan3 = testing::random_symmetric(3, rng);
+  nan3(2, 1) = std::numeric_limits<double>::quiet_NaN();
+  BatchProblem bad_entry = good;
+  bad_entry.n = 3;
+  bad_entry.a = nan3.data();
+  bad_entry.lda = nan3.ld();
+  FlopScope scope;
+  try {
+    syev_batch({good, good, good, bad_entry});
+    FAIL() << "expected invalid_argument";
+  } catch (const invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite entry a(2, 1)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(scope.count(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/flops.hpp"
 #include "common/rng.hpp"
 #include "lapack/generators.hpp"
 #include "solver/syev.hpp"
@@ -131,6 +132,8 @@ TEST_P(RangeMethods, BadRangesThrow) {
   opts.sel = range::by_index;
   opts.il = 5;
   opts.iu = 3;
+  // Ranges are checked up front: not a single flop runs before the throw.
+  FlopScope scope;
   EXPECT_THROW(syev(n, a.data(), a.ld(), opts), invalid_argument);
   opts.il = 0;
   opts.iu = n;  // out of bounds
@@ -139,6 +142,7 @@ TEST_P(RangeMethods, BadRangesThrow) {
   opts.vl = 2.0;
   opts.vu = 1.0;
   EXPECT_THROW(syev(n, a.data(), a.ld(), opts), invalid_argument);
+  EXPECT_EQ(scope.count(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, RangeMethods,

@@ -230,6 +230,34 @@ TEST(DynamicChecker, UndeclaredRegionNamesNearestDeclared) {
   }
 }
 
+TEST(DynamicChecker, CheckingResumesAfterNestedGraph) {
+  // A validated task runs a nested validated graph, then writes an
+  // undeclared region of its own tag: the outer task's context must be back
+  // in place once the nested graph returns.
+  TaskGraph g;
+  g.enable_validation(true);
+  TaskGraph::Options o;
+  o.label = "after_nested";
+  g.submit(
+      [] {
+        TaskGraph inner;
+        inner.enable_validation(true);
+        inner.submit([] { rt::touch_write(region_key(3, 0, 0)); },
+                     {wr(region_key(3, 0, 0))});
+        inner.run(1);
+        rt::touch_write(region_key(2, 5, 2));
+      },
+      {wr(region_key(2, 4, 2))}, o);
+  try {
+    g.run(2);
+    FAIL() << "expected validation_error";
+  } catch (const validation_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("after_nested"), std::string::npos);
+    EXPECT_NE(msg.find("outside its declared accesses"), std::string::npos);
+  }
+}
+
 TEST(DynamicChecker, DeclaredTouchesPass) {
   TaskGraph g;
   g.enable_validation(true);
