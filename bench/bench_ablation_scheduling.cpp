@@ -49,9 +49,11 @@ int main(int argc, char** argv) {
     int w2;
     idx g;
   };
+  // {workers, 1, 4} is the syev default (a one-worker subset takes the
+  // sequential loop, so its group only shapes the trace spans).
   const Cfg cfgs[] = {{1, 0, 1},       {workers, 0, 1}, {workers, 2, 1},
                       {workers, 1, 1}, {workers, 0, 4}, {workers, 2, 4},
-                      {workers, 2, 8}, {1, 0, 8}};
+                      {workers, 1, 4}, {workers, 2, 8}, {1, 0, 8}};
   for (const Cfg& c : cfgs) {
     twostage::Sb2stOptions o;
     o.num_workers = c.w;

@@ -9,8 +9,11 @@
 //                             [--lookahead D] [--json /path/out.json]
 //
 // --json writes the per-configuration wall times as one "tseig-bench-v2"
-// document (keys "stage1/la<D>", "stage2/{dynamic,pinned2}", "stedc") --
-// the pipeline baseline scripts/bench_ci.sh gates (BENCH_pipeline.json).
+// document (keys "stage1/la<D>", "stage2/{dynamic,pinned2}", "stedc",
+// "update/{q2,q1}") -- the pipeline baseline scripts/bench_ci.sh gates
+// (BENCH_pipeline.json).  The update rows time the eigenvector
+// back-transform (apply_q2 with ell = 32, then apply_q1) on ONE worker, best
+// of 3, so they track the packed-kernel rate rather than the schedule.
 //
 // Stage 1 is recorded twice -- bulk-synchronous (depth 0) and with the
 // requested look-ahead -- so the traces show where the panel pipeline
@@ -26,9 +29,11 @@
 
 #include "bench_support.hpp"
 #include "common/rng.hpp"
+#include "lapack/aux.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "tridiag/stedc.hpp"
+#include "twostage/q2_apply.hpp"
 #include "twostage/sb2st.hpp"
 #include "twostage/sy2sb.hpp"
 
@@ -173,6 +178,25 @@ int main(int argc, char** argv) {
     print_utilization(snap);
     obs::write_chrome_trace_file(snap, "/tmp/trace_stedc.json");
     std::printf("  trace written to /tmp/trace_stedc.json\n");
+  }
+
+  // Back-transform (Section 6 / Figure 3): Q2 diamonds, then Q1 tiles, on
+  // one worker over the full n-column eigenvector block.
+  {
+    const twostage::Sb2stResult s2 = twostage::sb2st(s1.band);
+    Matrix z(n, n);
+    lapack::laset(n, n, 0.0, 1.0, z.data(), z.ld());
+    const double tq2 = bench::time_best(3, [&] {
+      twostage::apply_q2(op::none, s2.v2, z.data(), z.ld(), n, 32, 1);
+    });
+    const double tq1 = bench::time_best(3, [&] {
+      twostage::apply_q1(op::none, s1.q1, z.data(), z.ld(), n, 1);
+    });
+    rec.add("update/q2", tq2);
+    rec.add("update/q1", tq1);
+    std::printf("\nback-transform, 1 worker (best of 3):\n"
+                "  apply_q2 %.4fs   apply_q1 %.4fs\n",
+                tq2, tq1);
   }
 
   std::printf("\npaper shape (Figure 2 / Section 6): the chase lattice admits\n"

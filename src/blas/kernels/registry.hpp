@@ -46,8 +46,10 @@ constexpr idx kNC = 4096;  ///< columns of B resident in L3 per block
 
 /// Microkernel: C(0:mr,0:nr) += alpha * Ap Bp where Ap is a packed MR-wide
 /// micro-panel (kc steps, MR-stride) and Bp a packed NR-wide micro-panel.
-/// mr <= MR, nr <= NR; full tiles take the SIMD fast path, ragged edges a
-/// scalar loop with identical rounding.
+/// mr <= MR, nr <= NR; full tiles take the SIMD fast path.  Ragged edges
+/// run the same SIMD accumulation on the AVX2 and AVX-512 tiers with masked
+/// C loads/stores (only the NEON tier still falls back to a scalar loop);
+/// every path keeps the identical per-element rounding sequence.
 using microkernel_fn = void (*)(idx kc, double alpha, const double* ap,
                                 const double* bp, double* c, idx ldc, idx mr,
                                 idx nr);

@@ -78,8 +78,11 @@ struct SyevOptions {
   /// in flight with critical-path priorities, < 0 = TSEIG_LOOKAHEAD
   /// (default 1).  Never changes results.
   int lookahead = -1;
-  /// Worker subset for the memory-bound bulge chasing (0 = all).
-  int stage2_workers = 0;
+  /// Worker subset for the memory-bound bulge chasing (0 = all).  Default 1:
+  /// the chase runs its sequential loop, which bench_ablation_scheduling
+  /// measures as fast as or faster than any parallel schedule at n = 1024
+  /// and 1536 on 2 and 4 workers (EXPERIMENTS.md, stage-2 subset table).
+  int stage2_workers = 1;
   /// Chase hops coalesced per stage-2 task.
   idx group = 4;
   /// Stage 2 as a successive band reduction (nb -> nb/2 -> 1, see

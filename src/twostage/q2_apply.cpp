@@ -3,26 +3,33 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/matrix.hpp"
 #include "lapack/householder.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/validate.hpp"
+#include "twostage/packed_reflector.hpp"
 
 namespace tseig::twostage {
 namespace {
 
 /// Region tag of the eigenvector column blocks apply_q2 partitions E into.
 constexpr std::uint32_t kTagQ2Cols = 8;
+/// Region tag of the ring slots holding one sweep group's packed diamonds.
+constexpr std::uint32_t kTagQ2Slot = 12;
 
-/// A precomputed diamond: the compact WY factor of `w` reflectors from
-/// consecutive sweeps at the same hop level (Figure 3b), ready to be applied
-/// to any column block of E with one larfb.
+/// Ring slots: packed diamonds exist for at most this many sweep groups at a
+/// time (a building group, the one being applied, one of slack), so the
+/// store stays a few groups deep instead of holding all of Q2 packed.
+constexpr idx kSlots = 3;
+
+/// A precomputed diamond: the block reflector of `w` reflectors from
+/// consecutive sweeps at the same hop level (Figure 3b), packed once for the
+/// kernel tier and applied to every column block of E.
 struct Diamond {
-  idx r0 = 0;      // first row of E it touches
-  idx height = 0;  // rows it touches
-  Matrix v;        // height x w staircase with explicit zeros
-  Matrix t;        // w x w triangular factor
+  idx r0 = 0;         // first row of E it touches
+  PackedReflector h;  // V^T and V op(T), staircase zeros trimmed
 };
 
 /// Number of sweeps in group [s0, s1) that actually have hop b.
@@ -33,58 +40,46 @@ idx group_width(const V2Factor& v2, idx s0, idx s1, idx b) {
   return s - s0;
 }
 
-/// Builds the WY factor of the diamond covering sweeps [s0, s0+w) at hop b.
-Diamond build_diamond(const V2Factor& v2, idx s0, idx w, idx b) {
-  Diamond d;
-  d.r0 = v2.start(s0, b);
+/// Builds and packs the diamond covering sweeps [s0, s0+w) at hop b.
+Diamond build_diamond(op trans, const V2Factor& v2, idx s0, idx w, idx b) {
+  const idx r0 = v2.start(s0, b);
   const idx rend = v2.start(s0 + w - 1, b) + v2.len(s0 + w - 1, b);
-  d.height = rend - d.r0;
-  d.v.reshape(d.height, w);
+  const idx height = rend - r0;
+  Matrix v(height, w);
   std::vector<double> taus(static_cast<size_t>(w));
   for (idx c = 0; c < w; ++c) {
     const idx len = v2.len(s0 + c, b);
-    const double* v = v2.v(s0 + c, b);
-    double* col = d.v.col(c);
+    const double* vs = v2.v(s0 + c, b);
+    double* col = v.col(c);
     // Column c sits one row below column c-1 (the staircase).  v[0] == 1
     // for generated reflectors; trivial (tau == 0) slots may hold zeros,
     // which larft maps to an identity factor regardless.
-    for (idx i = 0; i < len; ++i) col[c + i] = v[i];
+    for (idx i = 0; i < len; ++i) col[c + i] = vs[i];
     taus[static_cast<size_t>(c)] = v2.tau(s0 + c, b);
   }
-  d.t.reshape(w, w);
-  lapack::larft(d.height, w, d.v.data(), d.v.ld(), taus.data(), d.t.data(),
-                d.t.ld());
-  return d;
+  Matrix t(w, w);
+  lapack::larft(height, w, v.data(), v.ld(), taus.data(), t.data(), t.ld());
+  return Diamond{r0, PackedReflector(trans, height, w, v.data(), v.ld(),
+                                     t.data(), t.ld())};
 }
 
-/// Builds every diamond in the order they must be applied for op(Q2)
-/// (see the ordering discussion in the header).
-std::vector<Diamond> build_diamonds(op trans, const V2Factor& v2, idx ell) {
+/// Packs the diamonds of the k-th sweep group to apply into `out`, in
+/// application order for op(Q2) (see the ordering discussion in the header:
+/// groups last-to-first and hops ascending for Q2 E, both reversed for
+/// Q2^T E).
+void build_group(op trans, const V2Factor& v2, idx ell, idx k,
+                 std::vector<Diamond>& out) {
   const idx nsweeps = v2.nsweeps();
   const idx ngroups = (nsweeps + ell - 1) / ell;
   const idx maxblocks = v2.nblocks(0);
-  std::vector<Diamond> out;
-  auto emit_group = [&](idx g) {
-    const idx s0 = g * ell;
-    const idx s1 = std::min(nsweeps, s0 + ell);
-    if (trans == op::none) {
-      for (idx b = 0; b < maxblocks; ++b) {
-        const idx w = group_width(v2, s0, s1, b);
-        if (w > 0) out.push_back(build_diamond(v2, s0, w, b));
-      }
-    } else {
-      for (idx b = maxblocks - 1; b >= 0; --b) {
-        const idx w = group_width(v2, s0, s1, b);
-        if (w > 0) out.push_back(build_diamond(v2, s0, w, b));
-      }
-    }
-  };
-  if (trans == op::none) {
-    for (idx g = ngroups - 1; g >= 0; --g) emit_group(g);
-  } else {
-    for (idx g = 0; g < ngroups; ++g) emit_group(g);
+  const idx s0 = (trans == op::none ? ngroups - 1 - k : k) * ell;
+  const idx s1 = std::min(nsweeps, s0 + ell);
+  out.clear();
+  for (idx i = 0; i < maxblocks; ++i) {
+    const idx b = trans == op::none ? i : maxblocks - 1 - i;
+    const idx w = group_width(v2, s0, s1, b);
+    if (w > 0) out.push_back(build_diamond(trans, v2, s0, w, b));
   }
-  return out;
 }
 
 }  // namespace
@@ -118,28 +113,35 @@ void apply_q2_naive(op trans, const V2Factor& v2, double* e, idx lde,
 void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
               idx ell, int num_workers, idx col_block) {
   const idx nsweeps = v2.nsweeps();
+  require(col_block > 0, "apply_q2: col_block must be positive");
   if (nsweeps == 0 || ncols == 0) return;
   ell = std::max<idx>(1, ell);
   num_workers = rt::resolve_num_workers(num_workers);
 
-  // Build every diamond's WY factor once (shared read-only by all tasks),
-  // then sweep them over each column block of E (Figure 3c: communication-
-  // free per-core column ownership).
-  const std::vector<Diamond> diamonds = build_diamonds(trans, v2, ell);
-
-  auto process_columns = [&](idx c0, idx nc) {
-    std::vector<double> wbuf(static_cast<size_t>(ell * nc));
-    for (const Diamond& d : diamonds) {
-      lapack::larfb(side::left, trans, d.height, nc, d.v.cols(), d.v.data(),
-                    d.v.ld(), d.t.data(), d.t.ld(), e + d.r0 + c0 * lde, lde,
-                    wbuf.data());
-    }
+  // Diamonds are packed one sweep group at a time into a ring slot and
+  // swept over every column block of E (Figure 3c: communication-free
+  // per-core column ownership) before the slot is reused.
+  const idx ngroups = (nsweeps + ell - 1) / ell;
+  std::vector<std::vector<Diamond>> ring(static_cast<size_t>(kSlots));
+  auto slot_of = [&ring](idx g) -> std::vector<Diamond>& {
+    return ring[static_cast<size_t>(g % kSlots)];
+  };
+  auto pack_group = [&](idx g) { build_group(trans, v2, ell, g, slot_of(g)); };
+  auto apply_group = [&](idx g, idx c0, idx nc) {
+    for (const Diamond& d : slot_of(g))
+      d.h.apply(e + d.r0 + c0 * lde, lde, nc);
   };
 
   if (num_workers <= 1) {
-    for (idx c0 = 0; c0 < ncols; c0 += col_block) {
-      obs::Span span("q2_cols");
-      process_columns(c0, std::min(col_block, ncols - c0));
+    for (idx g = 0; g < ngroups; ++g) {
+      {
+        obs::Span span("q2_pack");
+        pack_group(g);
+      }
+      for (idx c0 = 0; c0 < ncols; c0 += col_block) {
+        obs::Span span("q2_cols");
+        apply_group(g, c0, std::min(col_block, ncols - c0));
+      }
     }
     return;
   }
@@ -162,21 +164,38 @@ void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
         });
     graph.set_region_map(&region_map);
   }
-  int hint = 0;
-  for (idx c0 = 0; c0 < ncols; c0 += col_block) {
-    const idx nc = std::min(col_block, ncols - c0);
-    const auto ckey =
-        rt::region_key(kTagQ2Cols, static_cast<std::uint32_t>(c0), 0);
-    rt::TaskGraph::Options opts;
-    // Static column ownership: block -> worker, as in Figure 3c.
-    opts.worker_hint = hint++ % num_workers;
-    opts.label = "q2_cols";
+  // The slot key carries the ring's reuse hazards: group g's build waits
+  // (WAR) for every column task of group g - kSlots, and each column task
+  // of group g reads what the build wrote (RAW), so builds run ahead of the
+  // column sweep by at most kSlots - 1 groups.
+  for (idx g = 0; g < ngroups; ++g) {
+    const auto skey = rt::region_key(
+        kTagQ2Slot, static_cast<std::uint32_t>(g % kSlots), 0);
+    rt::TaskGraph::Options bopts;
+    bopts.label = "q2_pack";
     graph.submit(
-        [process_columns, c0, nc, ckey] {
-          rt::touch_write(ckey);
-          process_columns(c0, nc);
+        [pack_group, g, skey] {
+          rt::touch_write(skey);
+          pack_group(g);
         },
-        {rt::wr(ckey)}, opts);
+        {rt::wr(skey)}, bopts);
+    int hint = 0;
+    for (idx c0 = 0; c0 < ncols; c0 += col_block) {
+      const idx nc = std::min(col_block, ncols - c0);
+      const auto ckey =
+          rt::region_key(kTagQ2Cols, static_cast<std::uint32_t>(c0), 0);
+      rt::TaskGraph::Options opts;
+      // Static column ownership: block -> worker, as in Figure 3c.
+      opts.worker_hint = hint++ % num_workers;
+      opts.label = "q2_cols";
+      graph.submit(
+          [apply_group, g, c0, nc, skey, ckey] {
+            rt::touch_read(skey);
+            rt::touch_write(ckey);
+            apply_group(g, c0, nc);
+          },
+          {rt::rd(skey), rt::wr(ckey)}, opts);
+    }
   }
   graph.run(num_workers);
 }

@@ -260,7 +260,12 @@ V2Factor chase_level(const WorkBand& wb, idx n, idx nb, idx d,
 
   const idx group = std::max<idx>(1, opts.group);
   const int num_workers = rt::resolve_num_workers(opts.num_workers);
-  const bool parallel = num_workers > 1;
+  const int w2 = opts.stage2_workers > 0
+                     ? std::min(opts.stage2_workers, num_workers)
+                     : num_workers;
+  // A one-worker subset runs every chase task on one lane anyway: take the
+  // serial loop and skip the task graph's bookkeeping.
+  const bool parallel = w2 > 1;
   rt::TaskGraph graph;
   rt::RegionMap region_map;
   if (parallel && graph.validation_enabled()) {
@@ -271,9 +276,6 @@ V2Factor chase_level(const WorkBand& wb, idx n, idx nb, idx d,
         });
     graph.set_region_map(&region_map);
   }
-  const int w2 = opts.stage2_workers > 0
-                     ? std::min(opts.stage2_workers, num_workers)
-                     : num_workers;
 
   idx submitted = 0;
   for (idx s = 0; s < v2.nsweeps(); ++s) {

@@ -9,6 +9,7 @@
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/validate.hpp"
+#include "twostage/packed_reflector.hpp"
 #include "twostage/tile_kernels.hpp"
 
 namespace tseig::twostage {
@@ -19,6 +20,19 @@ constexpr std::uint32_t kTagTile = 1;   // tiles of the working matrix
 constexpr std::uint32_t kTagVg = 2;     // GEQRT reflector blocks
 constexpr std::uint32_t kTagVts = 3;    // TSQRT reflector blocks
 constexpr std::uint32_t kTagG = 4;      // row-block x col-block of G
+constexpr std::uint32_t kTagQ1Slot = 5; // apply_q1's packed-panel ring slots
+
+/// Panels whose packed reflectors exist at once in apply_q1: one being
+/// packed, one being applied, one of slack (the store stays a few panels
+/// deep instead of holding all of Q1 packed).
+constexpr idx kQ1Slots = 3;
+
+/// One panel of Q1 packed for the back-transform: the GEQRT block reflector
+/// and the TS reflectors of tiles j+2 .. nt-1 (ts[i - j - 2]).
+struct PanelPack {
+  PackedReflector geqrt;
+  std::vector<PackedTsReflector> ts;
+};
 
 std::uint64_t tile_key(idx i, idx j) {
   return rt::region_key(kTagTile, static_cast<std::uint32_t>(i),
@@ -350,6 +364,7 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
 
 void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
               int num_workers, idx col_block) {
+  require(col_block > 0, "apply_q1: col_block must be positive");
   if (q1.nt <= 1 || ncols == 0) return;
   num_workers = rt::resolve_num_workers(num_workers);
   const idx nt = q1.nt;
@@ -381,13 +396,16 @@ void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
     return rt::region_key(kTagG, static_cast<std::uint32_t>(r),
                           static_cast<std::uint32_t>(cb));
   };
-  auto run = [&](std::function<void()> fn, std::initializer_list<idx> rows,
-                 idx cb, const char* label) {
+  auto slot_key = [](idx j) {
+    return rt::region_key(kTagQ1Slot, static_cast<std::uint32_t>(j % kQ1Slots),
+                          0);
+  };
+  auto run = [&](std::function<void()> fn, std::vector<rt::Access> acc,
+                 int hint, const char* label) {
     if (parallel) {
-      std::vector<rt::Access> acc;
-      for (idx r : rows) acc.push_back(rt::wr(g_key(r, cb)));
       rt::TaskGraph::Options opts;
       opts.label = label;
+      opts.worker_hint = hint;
       graph.submit(std::move(fn), acc, opts);
     } else {
       obs::Span span(label);
@@ -395,74 +413,80 @@ void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
     }
   };
 
-  // One pass over column blocks of G; within each, the factored form of Q1
-  // is applied in the order dictated by the reduction (see header).
-  for (idx cb = 0; cb < ncb; ++cb) {
-    const idx c0 = cb * col_block;
-    const idx nc = std::min(col_block, ncols - c0);
-    if (trans == op::none) {
-      // G <- Q1 G = Q_0 (Q_1 (... Q_{nt-2} G)).
-      for (idx j = nt - 2; j >= 0; --j) {
-        for (idx i = nt - 1; i >= j + 2; --i) {
-          const idx tsi = q1.ts_index(i, j);
-          const Matrix& v2 = q1.vts[static_cast<size_t>(tsi)];
-          const Matrix& t2 = q1.tts[static_cast<size_t>(tsi)];
-          run(
-              [&, i, j, c0, nc, cb] {
-                rt::touch_write(g_key(j + 1, cb));
-                rt::touch_write(g_key(i, cb));
-                double* work = scratch(nb * nc);
-                tsmqr_left(op::none, nc, nb, q1.rows_of(i), v2.data(),
-                           v2.ld(), t2.data(), t2.ld(),
-                           g + (j + 1) * nb + c0 * ldg, ldg,
-                           g + i * nb + c0 * ldg, ldg, work);
-              },
-              {j + 1, i}, cb, "q1_tsmqr");
-        }
-        const Matrix& vgj = q1.vg[static_cast<size_t>(j)];
-        const Matrix& tgj = q1.tg[static_cast<size_t>(j)];
+  // Each panel's reflectors are packed once per call (V^T, op(T) and
+  // V op(T) in the kernel tier's layout) into a ring slot, then swept over
+  // every column block of G before the slot is reused.  The slot key
+  // carries the ring's hazards exactly as in apply_q2.
+  std::vector<PanelPack> ring(static_cast<size_t>(kQ1Slots));
+  auto pack_of = [&ring](idx j) -> PanelPack& {
+    return ring[static_cast<size_t>(j % kQ1Slots)];
+  };
+  auto pack_panel = [&](idx j) {
+    PanelPack& pp = pack_of(j);
+    const Matrix& v = q1.vg[static_cast<size_t>(j)];
+    const Matrix& t = q1.tg[static_cast<size_t>(j)];
+    pp.geqrt = PackedReflector(trans, q1.rows_of(j + 1), q1.kk(j), v.data(),
+                               v.ld(), t.data(), t.ld());
+    pp.ts.clear();
+    for (idx i = j + 2; i < nt; ++i) {
+      const auto tsi = static_cast<size_t>(q1.ts_index(i, j));
+      const Matrix& v2 = q1.vts[tsi];
+      const Matrix& t2 = q1.tts[tsi];
+      pp.ts.emplace_back(trans, nb, q1.rows_of(i), v2.data(), v2.ld(),
+                         t2.data(), t2.ld());
+    }
+  };
+
+  // Panels in application order:
+  //   G <- Q1 G   = Q_0 (Q_1 (... Q_{nt-2} G)): last panel first, each
+  //                 panel's TS blocks bottom-up, then its GEQRT block;
+  //   G <- Q1^T G = Q_{nt-2}^T (... (Q_0^T G)): the reverse.
+  for (idx step = 0; step + 1 < nt; ++step) {
+    const idx j = trans == op::none ? nt - 2 - step : step;
+    run(
+        [&, j] {
+          rt::touch_write(slot_key(j));
+          pack_panel(j);
+        },
+        {rt::wr(slot_key(j))}, -1, "q1_pack");
+    for (idx cb = 0; cb < ncb; ++cb) {
+      const idx c0 = cb * col_block;
+      const idx nc = std::min(col_block, ncols - c0);
+      double* g1 = g + (j + 1) * nb + c0 * ldg;
+      // Static column ownership (Figure 3c) when every worker can own a
+      // block; with fewer blocks the panel wavefront inside a block is the
+      // only parallelism, so those tasks stay free to run anywhere.
+      const int hint =
+          ncb >= num_workers ? static_cast<int>(cb % num_workers) : -1;
+      auto ts_task = [&](idx i) {
         run(
-            [&, j, c0, nc, cb] {
+            [&, i, j, cb, nc, g1] {
+              rt::touch_read(slot_key(j));
               rt::touch_write(g_key(j + 1, cb));
-              const idx kj = q1.kk(j);
-              double* work = scratch(kj * nc);
-              ormqr_tile(side::left, op::none, q1.rows_of(j + 1), nc, kj,
-                         vgj.data(), vgj.ld(), tgj.data(), tgj.ld(),
-                         g + (j + 1) * nb + c0 * ldg, ldg, work);
+              rt::touch_write(g_key(i, cb));
+              pack_of(j).ts[static_cast<size_t>(i - j - 2)].apply(
+                  g1, ldg, g1 + (i - j - 1) * nb, ldg, nc);
             },
-            {j + 1}, cb, "q1_ormqr");
-      }
-    } else {
-      // G <- Q1^T G = Q_{nt-2}^T (... (Q_0^T G)).
-      for (idx j = 0; j + 1 < nt; ++j) {
-        const Matrix& vgj = q1.vg[static_cast<size_t>(j)];
-        const Matrix& tgj = q1.tg[static_cast<size_t>(j)];
+            {rt::rd(slot_key(j)), rt::wr(g_key(j + 1, cb)),
+             rt::wr(g_key(i, cb))},
+            hint, "q1_tsmqr");
+      };
+      auto geqrt_task = [&] {
         run(
-            [&, j, c0, nc, cb] {
+            [&, j, cb, nc, g1] {
+              rt::touch_read(slot_key(j));
               rt::touch_write(g_key(j + 1, cb));
-              const idx kj = q1.kk(j);
-              double* work = scratch(kj * nc);
-              ormqr_tile(side::left, op::trans, q1.rows_of(j + 1), nc, kj,
-                         vgj.data(), vgj.ld(), tgj.data(), tgj.ld(),
-                         g + (j + 1) * nb + c0 * ldg, ldg, work);
+              pack_of(j).geqrt.apply(g1, ldg, nc);
             },
-            {j + 1}, cb, "q1_ormqr");
-        for (idx i = j + 2; i < nt; ++i) {
-          const idx tsi = q1.ts_index(i, j);
-          const Matrix& v2 = q1.vts[static_cast<size_t>(tsi)];
-          const Matrix& t2 = q1.tts[static_cast<size_t>(tsi)];
-          run(
-              [&, i, j, c0, nc, cb] {
-                rt::touch_write(g_key(j + 1, cb));
-                rt::touch_write(g_key(i, cb));
-                double* work = scratch(nb * nc);
-                tsmqr_left(op::trans, nc, nb, q1.rows_of(i), v2.data(),
-                           v2.ld(), t2.data(), t2.ld(),
-                           g + (j + 1) * nb + c0 * ldg, ldg,
-                           g + i * nb + c0 * ldg, ldg, work);
-              },
-              {j + 1, i}, cb, "q1_tsmqr");
-        }
+            {rt::rd(slot_key(j)), rt::wr(g_key(j + 1, cb))}, hint,
+            "q1_ormqr");
+      };
+      if (trans == op::none) {
+        for (idx i = nt - 1; i >= j + 2; --i) ts_task(i);
+        geqrt_task();
+      } else {
+        geqrt_task();
+        for (idx i = j + 2; i < nt; ++i) ts_task(i);
       }
     }
   }

@@ -90,8 +90,12 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
 /// Applies op(Q1) to the dense n-by-ncols matrix G in place:
 ///   trans == op::none : G <- Q1 G   (eigenvector back-transformation)
 ///   trans == op::trans: G <- Q1^T G
-/// `col_block` column-blocks of G are processed as independent tasks when
-/// num_workers > 1 (the paper's per-core column distribution, Figure 3c).
+/// `col_block` (> 0; invalid_argument otherwise) column-blocks of G are
+/// processed as independent task chains when num_workers > 1 (the paper's
+/// per-core column distribution, Figure 3c).  Each tile's reflector is
+/// packed once per call (twostage/packed_reflector.hpp) and applied with
+/// direct microkernel calls; results are bitwise identical across worker
+/// counts and kernel tiers.  G must be finite.
 void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
               int num_workers = 1, idx col_block = 256);
 

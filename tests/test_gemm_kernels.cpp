@@ -191,6 +191,64 @@ TEST(CrossTier, SyevBitwiseIdenticalAcrossTiers) {
   }
 }
 
+// ---- Microkernel edge tiles ----
+
+/// C(0:mr, 0:nr) += alpha A B through `tier`'s own packers and one call of
+/// its microkernel (A is mr x kc, B is kc x nr; the packers zero-pad).
+void tier_tile(const kern::Kernel& tier, idx mr, idx nr, idx kc, double alpha,
+               const double* a, idx lda, const double* b, idx ldb, double* c,
+               idx ldc) {
+  std::vector<double> ap(static_cast<size_t>(tier.mr * std::max<idx>(kc, 1)));
+  std::vector<double> bp(static_cast<size_t>(tier.nr * std::max<idx>(kc, 1)));
+  tier.pack_a_notrans(mr, kc, a, lda, ap.data());
+  tier.pack_b_notrans(kc, nr, b, ldb, bp.data());
+  tier.micro(kc, alpha, ap.data(), bp.data(), c, ldc, mr, nr);
+}
+
+TEST(MicroEdges, EveryEdgeShapeMatchesScalarBitwise) {
+  // Every (mr, nr) a tier's microkernel can be handed -- the ragged edges
+  // (masked SIMD on AVX2/AVX-512) and the full tile -- against the scalar
+  // tier covering the same rectangle with its own 8x4 tiles.  C carries a
+  // guard band of extra rows and one extra column holding -0.0, which must
+  // come back untouched.  The padded lanes accumulate +0, so a masked store
+  // that leaks one lane writes -0 + alpha * (+0) = +0 there (alpha > 0) and
+  // the bitwise compare catches it.
+  const kern::Kernel* scalar = kern::find_kernel("scalar");
+  ASSERT_NE(scalar, nullptr);
+  Rng rng(2024);
+  for (const kern::Kernel* tier : kern::available_kernels()) {
+    for (const idx kc : {idx{0}, idx{1}, idx{37}}) {
+      const Matrix a = random_matrix(tier->mr, std::max<idx>(kc, 1), rng);
+      const Matrix b = random_matrix(std::max<idx>(kc, 1), tier->nr, rng);
+      const idx ldc = tier->mr + 3;
+      const Matrix c0 = random_matrix(ldc, tier->nr + 1, rng);
+      for (idx mr = 1; mr <= tier->mr; ++mr) {
+        for (idx nr = 1; nr <= tier->nr; ++nr) {
+          Matrix cguard = c0;
+          for (idx j = 0; j < cguard.cols(); ++j)
+            for (idx i = 0; i < ldc; ++i)
+              if (i >= mr || j >= nr) cguard(i, j) = -0.0;
+          Matrix c = cguard;
+          tier_tile(*tier, mr, nr, kc, 0.75, a.data(), a.ld(), b.data(),
+                    b.ld(), c.data(), ldc);
+          Matrix cref = cguard;
+          for (idx i0 = 0; i0 < mr; i0 += scalar->mr)
+            for (idx j0 = 0; j0 < nr; j0 += scalar->nr)
+              tier_tile(*scalar, std::min(scalar->mr, mr - i0),
+                        std::min(scalar->nr, nr - j0), kc, 0.75,
+                        a.data() + i0, a.ld(), b.data() + j0 * b.ld(), b.ld(),
+                        cref.data() + i0 + j0 * ldc, ldc);
+          EXPECT_TRUE(
+              bitwise_equal(c.data(), cref.data(), ldc * (tier->nr + 1)))
+              << tier->name << " edge mr=" << mr << " nr=" << nr
+              << " kc=" << kc << " (max diff " << max_abs_diff(c, cref)
+              << ")";
+        }
+      }
+    }
+  }
+}
+
 // ---- Bitwise cross-path (small vs blocked) consistency ----
 
 /// The canonical accumulation order both gemm paths must reproduce exactly:

@@ -1,11 +1,15 @@
 // Tests for the Q2 back-transformation (naive and diamond-blocked) and the
 // full two-stage eigensolver chain.
+#include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "blas/blas3.hpp"
+#include "blas/kernels/registry.hpp"
 #include "common/rng.hpp"
 #include "lapack/aux.hpp"
 #include "lapack/generators.hpp"
@@ -79,18 +83,22 @@ class Q2BlockedShapes
     : public ::testing::TestWithParam<std::tuple<idx, idx, idx>> {};
 
 TEST_P(Q2BlockedShapes, BlockedMatchesNaive) {
+  // ncols covers a single column, a ragged NR edge and one column past a
+  // 256-column block.
   const auto [n, bw, ell] = GetParam();
   Rng rng(n * 7 + bw * 3 + ell);
   auto band = random_band(n, bw, rng);
   auto res = twostage::sb2st(band);
-
-  for (op tr : {op::none, op::trans}) {
-    Matrix e = testing::random_matrix(n, 9, rng);
-    Matrix enaive = e;
-    twostage::apply_q2_naive(tr, res.v2, enaive.data(), enaive.ld(), 9);
-    twostage::apply_q2(tr, res.v2, e.data(), e.ld(), 9, ell);
-    EXPECT_LE(max_abs_diff(e, enaive), 1e-11 * n)
-        << "trans=" << static_cast<char>(tr);
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (const idx ncols : {idx{1}, idx{7}, idx{257}}) {
+    for (op tr : {op::none, op::trans}) {
+      Matrix e = testing::random_matrix(n, ncols, rng);
+      Matrix enaive = e;
+      twostage::apply_q2_naive(tr, res.v2, enaive.data(), enaive.ld(), ncols);
+      twostage::apply_q2(tr, res.v2, e.data(), e.ld(), ncols, ell);
+      EXPECT_LE(max_abs_diff(e, enaive), 64.0 * n * eps)
+          << "ncols=" << ncols << " trans=" << static_cast<char>(tr);
+    }
   }
 }
 
@@ -106,16 +114,116 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<idx, idx, idx>(50, 2, 4),
                       std::make_tuple<idx, idx, idx>(40, 12, 5)));
 
+/// ell x nb sweep of the packed diamond kernel, n never a multiple of nb.
+/// The last shape (nb = 96, ell = 192) makes the diamond height
+/// ell - 1 + nb = 287 exceed kKC, so the packed products run chunked.
+std::vector<std::tuple<idx, idx, idx>> ell_by_nb_shapes() {
+  std::vector<std::tuple<idx, idx, idx>> out;
+  for (const idx nb : {idx{8}, idx{48}, idx{96}})
+    for (const idx ell : {idx{1}, idx{5}, idx{32}, idx{64}})
+      out.emplace_back(std::max(3 * nb, ell + nb) + 17, nb, ell);
+  out.emplace_back(305, 96, 192);
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(EllByNb, Q2BlockedShapes,
+                         ::testing::ValuesIn(ell_by_nb_shapes()));
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.rows() * a.cols()) *
+                         sizeof(double)) == 0;
+}
+
+/// A two-stage factorization and a random E for the bitwise checks below.
+struct BackTransformCase {
+  twostage::Sy2sbResult s1;
+  twostage::Sb2stResult s2;
+  Matrix e;
+};
+
+BackTransformCase back_transform_case(idx n, idx nb, idx ncols) {
+  Rng rng(n + nb + ncols);
+  const Matrix a = testing::random_symmetric(n, rng);
+  BackTransformCase c;
+  c.s1 = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
+  c.s2 = twostage::sb2st(c.s1.band);
+  c.e = testing::random_matrix(n, ncols, rng);
+  return c;
+}
+
+/// Restores automatic tier selection when a cross-tier test exits.
+struct KernelGuard {
+  ~KernelGuard() { blas::kernels::select_kernel(nullptr); }
+};
+
+TEST(BackTransform, BitwiseAcrossKernelTiers) {
+  // The packed diamond / tile kernels call each tier's microkernel directly,
+  // with ragged edges everywhere (n = 131, nb = 16, ell = 8): every tier
+  // must reproduce the scalar tier bit for bit.
+  namespace kern = blas::kernels;
+  const BackTransformCase c = back_transform_case(131, 16, 37);
+  KernelGuard guard;
+  for (const op tr : {op::none, op::trans}) {
+    kern::select_kernel(kern::find_kernel("scalar"));
+    Matrix q2_ref = c.e, q1_ref = c.e;
+    twostage::apply_q2(tr, c.s2.v2, q2_ref.data(), q2_ref.ld(), 37, 8, 2, 16);
+    twostage::apply_q1(tr, c.s1.q1, q1_ref.data(), q1_ref.ld(), 37, 2, 16);
+    for (const kern::Kernel* tier : kern::available_kernels()) {
+      kern::select_kernel(tier);
+      Matrix q2 = c.e, q1 = c.e;
+      twostage::apply_q2(tr, c.s2.v2, q2.data(), q2.ld(), 37, 8, 2, 16);
+      twostage::apply_q1(tr, c.s1.q1, q1.data(), q1.ld(), 37, 2, 16);
+      EXPECT_TRUE(bitwise_equal(q2, q2_ref))
+          << "apply_q2 tier " << tier->name << " trans="
+          << static_cast<char>(tr);
+      EXPECT_TRUE(bitwise_equal(q1, q1_ref))
+          << "apply_q1 tier " << tier->name << " trans="
+          << static_cast<char>(tr);
+    }
+  }
+}
+
+TEST(BackTransform, RejectsNonPositiveColumnBlock) {
+  // col_block <= 0 used to spin forever in apply_q2 (c0 += 0) and divide by
+  // zero in apply_q1; both now name the argument instead.
+  const BackTransformCase c = back_transform_case(40, 8, 5);
+  for (const idx bad : {idx{0}, idx{-4}}) {
+    Matrix e = c.e;
+    try {
+      twostage::apply_q2(op::none, c.s2.v2, e.data(), e.ld(), 5, 4, 1, bad);
+      ADD_FAILURE() << "apply_q2 accepted col_block=" << bad;
+    } catch (const invalid_argument& ex) {
+      EXPECT_NE(std::string(ex.what()).find("col_block"), std::string::npos);
+    }
+    try {
+      twostage::apply_q1(op::none, c.s1.q1, e.data(), e.ld(), 5, 1, bad);
+      ADD_FAILURE() << "apply_q1 accepted col_block=" << bad;
+    } catch (const invalid_argument& ex) {
+      EXPECT_NE(std::string(ex.what()).find("col_block"), std::string::npos);
+    }
+  }
+}
+
 TEST(Q2Apply, ParallelMatchesSequential) {
+  // Bitwise at 2 and 4 workers, both directions; 30 columns in 8-column
+  // blocks (one ragged) so every worker owns blocks.
   const idx n = 56, bw = 7;
   Rng rng(11);
   auto band = random_band(n, bw, rng);
   auto res = twostage::sb2st(band);
-  Matrix e = testing::random_matrix(n, 24, rng);
-  Matrix es = e;
-  twostage::apply_q2(op::none, res.v2, es.data(), es.ld(), 24, 4, 1, 8);
-  twostage::apply_q2(op::none, res.v2, e.data(), e.ld(), 24, 4, 4, 8);
-  EXPECT_LE(max_abs_diff(e, es), 0.0);
+  const Matrix e0 = testing::random_matrix(n, 30, rng);
+  for (const op tr : {op::none, op::trans}) {
+    Matrix es = e0;
+    twostage::apply_q2(tr, res.v2, es.data(), es.ld(), 30, 4, 1, 8);
+    for (const int p : {2, 4}) {
+      Matrix e = e0;
+      twostage::apply_q2(tr, res.v2, e.data(), e.ld(), 30, 4, p, 8);
+      EXPECT_TRUE(bitwise_equal(e, es))
+          << "p=" << p << " trans=" << static_cast<char>(tr);
+    }
+  }
 }
 
 TEST(Q2Apply, SubsetOfColumns) {

@@ -119,16 +119,30 @@ TEST(Sy2sb, ApplyQ1TransIsInverse) {
 }
 
 TEST(Sy2sb, ApplyQ1ParallelMatchesSequential) {
+  // Bitwise at 2 and 4 workers, both directions.  col_block 16 gives three
+  // column blocks (pinned ownership at p = 2); 256 gives one (unpinned, the
+  // panel wavefront is the only parallelism).
   const idx n = 64, nb = 16;
   Rng rng(19);
   Matrix a = testing::random_symmetric(n, rng);
   auto res = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
 
-  Matrix g = testing::random_matrix(n, 40, rng);
-  Matrix gs = g, gp = g;
-  twostage::apply_q1(op::none, res.q1, gs.data(), gs.ld(), 40, 1, 16);
-  twostage::apply_q1(op::none, res.q1, gp.data(), gp.ld(), 40, 4, 16);
-  EXPECT_LE(max_abs_diff(gs, gp), 0.0);
+  const Matrix g = testing::random_matrix(n, 40, rng);
+  for (const idx col_block : {idx{16}, idx{256}}) {
+    for (const op tr : {op::none, op::trans}) {
+      Matrix gs = g;
+      twostage::apply_q1(tr, res.q1, gs.data(), gs.ld(), 40, 1, col_block);
+      for (const int p : {2, 4}) {
+        Matrix gp = g;
+        twostage::apply_q1(tr, res.q1, gp.data(), gp.ld(), 40, p, col_block);
+        EXPECT_EQ(std::memcmp(gs.data(), gp.data(),
+                              sizeof(double) * static_cast<size_t>(n * 40)),
+                  0)
+            << "p=" << p << " col_block=" << col_block
+            << " trans=" << static_cast<char>(tr);
+      }
+    }
+  }
 }
 
 TEST(Sy2sb, SingleTileIsIdentityQ1) {
