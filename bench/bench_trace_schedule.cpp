@@ -10,10 +10,12 @@
 //
 // --json writes the per-configuration wall times as one "tseig-bench-v2"
 // document (keys "stage1/la<D>", "stage2/{dynamic,pinned2}", "stedc",
-// "update/{q2,q1}") -- the pipeline baseline scripts/bench_ci.sh gates
-// (BENCH_pipeline.json).  The update rows time the eigenvector
-// back-transform (apply_q2 with ell = 32, then apply_q1) on ONE worker, best
-// of 3, so they track the packed-kernel rate rather than the schedule.
+// "solve/stebz", "update/{q2,q1}") -- the pipeline baseline
+// scripts/bench_ci.sh gates (BENCH_pipeline.json).  The solve/stebz row
+// times lockstep bisection of the lowest 20% of stedc's tridiagonal and the
+// update rows time the eigenvector back-transform (apply_q2 with ell = 32,
+// then apply_q1); all three run on ONE worker, best of 3, so they track the
+// kernel rate rather than the schedule.
 //
 // Stage 1 is recorded twice -- bulk-synchronous (depth 0) and with the
 // requested look-ahead -- so the traces show where the panel pipeline
@@ -32,6 +34,7 @@
 #include "lapack/aux.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
+#include "tridiag/bisect.hpp"
 #include "tridiag/stedc.hpp"
 #include "twostage/q2_apply.hpp"
 #include "twostage/sb2st.hpp"
@@ -164,6 +167,18 @@ int main(int argc, char** argv) {
     Rng rng(83);
     rng.fill_uniform(d.data(), n);
     if (n > 1) rng.fill_uniform(e.data(), n - 1);
+
+    // Phase-2 subset solve (Figure 4d, f = 0.2) on the same tridiagonal,
+    // before stedc overwrites it.
+    const idx m = std::max<idx>(1, n / 5);
+    const double tbz = bench::time_best(3, [&] {
+      (void)tridiag::stebz_index(n, d.data(), e.data(), 0, m - 1, 1);
+    });
+    rec.add("solve/stebz", tbz);
+    std::printf("\nlockstep bisection, lowest %lld eigenvalues, 1 worker "
+                "(best of 3): %.4fs\n",
+                static_cast<long long>(m), tbz);
+
     Matrix z(n, n);
     double wall = 0.0;
     const obs::Snapshot snap = record([&] {

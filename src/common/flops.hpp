@@ -93,6 +93,15 @@ inline std::int64_t trmm(side s, idx m, idx n) {
 }
 inline std::int64_t ger(idx m, idx n) { return 2 * m * n; }
 inline std::int64_t syr2(idx n) { return 2 * n * n; }
+/// Sturm-count steps of bisection: q = (d_i - x) - e_{i-1}^2 / q is two
+/// subtractions and one division (e^2 precomputed, compares not counted).
+inline std::int64_t sturm(std::int64_t steps) { return 3 * steps; }
+/// LU of T - lambda I with partial pivoting (xGTTRF role): the shift plus
+/// one division, multiply and subtraction per eliminated row.
+inline std::int64_t tridiag_factor(idx n) { return 4 * n; }
+/// One solve with that LU: forward elimination b_{i+1} -= m_i b_i (2) and
+/// back substitution over two superdiagonals (2 mul, 2 sub, 1 div).
+inline std::int64_t tridiag_solve(idx n) { return 7 * n; }
 }  // namespace flop_count
 
 /// Nominal memory-traffic formulas (double precision, 8 bytes/element): every

@@ -210,13 +210,15 @@ SyevResult solve_pipeline(idx n, const double* a, idx lda,
       timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
             res.phases.solve_flops, [&] {
         std::vector<double>& w = res.eigenvalues;
+        const int nw = opts.num_workers;
         if (opts.sel == range::by_index)
-          w = tridiag::stebz_index(n, d.data(), e.data(), opts.il, opts.iu);
+          w = tridiag::stebz_index(n, d.data(), e.data(), opts.il, opts.iu, nw);
         else if (opts.sel == range::by_value)
-          w = tridiag::stebz_value(n, d.data(), e.data(), opts.vl, opts.vu);
+          w = tridiag::stebz_value(n, d.data(), e.data(), opts.vl, opts.vu, nw);
         else
           w = tridiag::stebz_index(n, d.data(), e.data(), 0,
-                                   (opts.job == jobz::values_only ? n : m) - 1);
+                                   (opts.job == jobz::values_only ? n : m) - 1,
+                                   nw);
         if (opts.job == jobz::vectors && !w.empty()) {
           res.z.reshape(n, static_cast<idx>(w.size()));
           tridiag::stein(n, d.data(), e.data(), w, res.z.data(), res.z.ld());

@@ -1,10 +1,15 @@
 #include "tridiag/bisect.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 
 #include "blas/blas1.hpp"
+#include "common/flops.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace tseig::tridiag {
@@ -12,6 +17,7 @@ namespace {
 
 constexpr double kEps = std::numeric_limits<double>::epsilon();
 constexpr double kSafmin = std::numeric_limits<double>::min();
+constexpr int kMaxBisections = 128;
 
 /// Gershgorin interval [gl, gu] of the tridiagonal.
 void gershgorin(idx n, const double* d, const double* e, double& gl,
@@ -35,106 +41,205 @@ double pivmin_of(idx n, const double* e) {
   return m;
 }
 
-/// Bisects [lo, hi] (with counts clo <= target < chi) until the eigenvalue
-/// with 0-based index `target` is pinned to machine accuracy.
-double bisect_one(idx n, const double* d, const double* e, idx target,
-                  double lo, double hi) {
-  for (int it = 0; it < 128; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid == lo || mid == hi) break;
-    if (hi - lo <= 2.0 * kEps * std::max(std::fabs(lo), std::fabs(hi)) + kSafmin)
-      break;
-    if (sturm_count(n, d, e, mid) <= target) {
-      lo = mid;
-    } else {
-      hi = mid;
+/// One row of the Sturm recurrence for T - xI: the pivot of row i from the
+/// previous pivot q, with e2 = e_{i-1}^2.  Row 0 is the same step with
+/// e2 = 0 and q = 1, since (d_0 - x) - 0/1 is bitwise d_0 - x.  A pivot
+/// smaller than pivmin in magnitude is replaced by -pivmin.
+inline double sturm_step(double di, double x, double e2, double q,
+                         double pivmin) {
+  q = di - x - e2 / q;
+  return std::fabs(q) < pivmin ? -pivmin : q;
+}
+
+using Lanes = std::array<double, kBisectLanes>;
+
+/// Sturm counts of all lanes' shifts x in one pass over (d, e2), e2 as built
+/// by stebz_index (e2[0] = 0).  The lanes' recurrences are independent, so
+/// their divisions overlap.
+std::array<idx, kBisectLanes> sturm_counts(idx n, const double* d,
+                                           const double* e2, double pivmin,
+                                           const Lanes& x) {
+  Lanes q;
+  q.fill(1.0);
+  std::array<idx, kBisectLanes> count{};
+  for (idx i = 0; i < n; ++i) {
+    const double di = d[i];
+    const double ei = e2[i];
+    for (int l = 0; l < kBisectLanes; ++l) {
+      q[l] = sturm_step(di, x[l], ei, q[l], pivmin);
+      count[l] += q[l] < 0.0;
     }
   }
-  return 0.5 * (lo + hi);
+  return count;
+}
+
+/// Bisects the k <= kBisectLanes consecutive targets t0, t0+1, ... from the
+/// bracket [gl, gu] into w[0..k), one lane each.  A lane stops by the
+/// one-target rule; stopped (and unused) lanes ride along in the shared
+/// pass on a frozen shift.  Returns the Sturm counts the k lanes consumed.
+std::int64_t bisect_lanes(idx n, const double* d, const double* e2,
+                          double pivmin, double gl, double gu, idx t0, int k,
+                          double* w) {
+  Lanes lo, hi, x;
+  lo.fill(gl);
+  hi.fill(gu);
+  x.fill(gl);
+  std::array<bool, kBisectLanes> live{};
+  for (int l = 0; l < k; ++l) live[l] = true;
+  std::int64_t counts = 0;
+  for (int it = 0; it < kMaxBisections; ++it) {
+    int active = 0;
+    for (int l = 0; l < k; ++l) {
+      if (!live[l]) continue;
+      const double mid = 0.5 * (lo[l] + hi[l]);
+      const double tol =
+          2.0 * kEps * std::max(std::fabs(lo[l]), std::fabs(hi[l])) + kSafmin;
+      if (mid == lo[l] || mid == hi[l] || hi[l] - lo[l] <= tol) {
+        live[l] = false;
+        continue;
+      }
+      x[l] = mid;
+      ++active;
+    }
+    if (active == 0) break;
+    counts += active;
+    const std::array<idx, kBisectLanes> c = sturm_counts(n, d, e2, pivmin, x);
+    for (int l = 0; l < k; ++l) {
+      if (!live[l]) continue;
+      if (c[l] <= t0 + l) {
+        lo[l] = x[l];
+      } else {
+        hi[l] = x[l];
+      }
+    }
+  }
+  for (int l = 0; l < k; ++l) w[l] = 0.5 * (lo[l] + hi[l]);
+  return counts;
 }
 
 }  // namespace
 
 idx sturm_count(idx n, const double* d, const double* e, double x) {
   const double pivmin = pivmin_of(n, e);
-  idx count = 0;
-  double q = d[0] - x;
-  if (std::fabs(q) < pivmin) q = -pivmin;
-  if (q < 0.0) ++count;
+  double q = sturm_step(d[0], x, 0.0, 1.0, pivmin);
+  idx count = q < 0.0;
   for (idx i = 1; i < n; ++i) {
-    q = d[i] - x - e[i - 1] * e[i - 1] / q;
-    if (std::fabs(q) < pivmin) q = -pivmin;
-    if (q < 0.0) ++count;
+    q = sturm_step(d[i], x, e[i - 1] * e[i - 1], q, pivmin);
+    count += q < 0.0;
   }
+  count_flops(flop_count::sturm(n));
   return count;
 }
 
 std::vector<double> stebz_index(idx n, const double* d, const double* e,
-                                idx il, idx iu) {
+                                idx il, idx iu, int num_workers) {
   require(0 <= il && il <= iu && iu < n, "stebz_index: bad index range");
   double gl, gu;
   gershgorin(n, d, e, gl, gu);
-  std::vector<double> w;
-  w.reserve(static_cast<size_t>(iu - il + 1));
-  for (idx t = il; t <= iu; ++t)
-    w.push_back(bisect_one(n, d, e, t, gl, gu));
+  const double pivmin = pivmin_of(n, e);
+  std::vector<double> e2(static_cast<size_t>(n));
+  e2[0] = 0.0;
+  for (idx i = 1; i < n; ++i) e2[static_cast<size_t>(i)] = e[i - 1] * e[i - 1];
+
+  const idx m = iu - il + 1;
+  const idx blocks = (m + kBisectLanes - 1) / kBisectLanes;
+  std::vector<double> w(static_cast<size_t>(m));
+  std::vector<std::int64_t> counts(static_cast<size_t>(blocks));
+  parallel_for(rt::resolve_num_workers(num_workers), 0, blocks, 1,
+               [&](idx b) {
+    const idx first = b * kBisectLanes;
+    const int k = static_cast<int>(std::min<idx>(kBisectLanes, m - first));
+    counts[static_cast<size_t>(b)] =
+        bisect_lanes(n, d, e2.data(), pivmin, gl, gu, il + first, k,
+                     w.data() + first);
+  });
+  count_flops(flop_count::sturm(
+      n * std::accumulate(counts.begin(), counts.end(), std::int64_t{0})));
   return w;
 }
 
 std::vector<double> stebz_value(idx n, const double* d, const double* e,
-                                double vl, double vu) {
+                                double vl, double vu, int num_workers) {
   require(vl < vu, "stebz_value: bad interval");
   const idx il = sturm_count(n, d, e, vl);        // eigenvalues <= vl excluded
   const idx iu = sturm_count(n, d, e, vu);        // eigenvalues <= vu counted
   if (iu <= il) return {};
-  return stebz_index(n, d, e, il, iu - 1);
+  return stebz_index(n, d, e, il, iu - 1, num_workers);
 }
 
 namespace {
 
-/// Solves (T - lambda I) x = b with partial pivoting (xGTSV-style); b is
-/// overwritten with x.  d/e define T; scratch arrays provided by caller.
-void tridiag_solve(idx n, const double* d, const double* e, double lambda,
-                   double pivmin, double* dl, double* dd, double* du,
-                   double* du2, double* b) {
-  for (idx i = 0; i < n; ++i) dd[i] = d[i] - lambda;
-  for (idx i = 0; i + 1 < n; ++i) {
-    dl[i] = e[i];
-    du[i] = e[i];
-  }
-  for (idx i = 0; i + 2 < n; ++i) du2[i] = 0.0;
+/// LU factorization of T - lambda I with partial pivoting (xGTTRF role),
+/// kept so that inverse iteration factors once per eigenvalue and reuses
+/// the factors on every iteration.  solve() applies the row interchanges
+/// and multipliers to b in the order xGTSV would interleave them with the
+/// factorization, so the solution is bitwise the same.
+class ShiftedLU {
+public:
+  explicit ShiftedLU(idx n)
+      : n_(n), dd_(static_cast<size_t>(n)), du_(static_cast<size_t>(n)),
+        du2_(static_cast<size_t>(n)), mult_(static_cast<size_t>(n)),
+        swapped_(static_cast<size_t>(n)) {}
 
-  for (idx i = 0; i + 1 < n; ++i) {
-    if (std::fabs(dd[i]) >= std::fabs(dl[i])) {
-      if (std::fabs(dd[i]) < pivmin) dd[i] = std::copysign(pivmin, dd[i]);
-      const double m = dl[i] / dd[i];
-      dd[i + 1] -= m * du[i];
-      b[i + 1] -= m * b[i];
-    } else {
-      const double m = dd[i] / dl[i];
-      const double t_dd1 = dd[i + 1];
-      const double t_du1 = (i + 2 < n) ? du[i + 1] : 0.0;
-      dd[i] = dl[i];
-      const double old_du = du[i];
-      du[i] = t_dd1;
-      if (i + 2 < n) {
-        du2[i] = t_du1;
-        du[i + 1] = -m * t_du1;
+  void factor(const double* d, const double* e, double lambda, double pivmin) {
+    const idx n = n_;
+    double* dd = dd_.data();
+    double* du = du_.data();
+    double* du2 = du2_.data();
+    for (idx i = 0; i < n; ++i) dd[i] = d[i] - lambda;
+    for (idx i = 0; i + 1 < n; ++i) du[i] = e[i];
+    for (idx i = 0; i + 2 < n; ++i) du2[i] = 0.0;
+
+    for (idx i = 0; i + 1 < n; ++i) {
+      const bool keep = std::fabs(dd[i]) >= std::fabs(e[i]);
+      swapped_[static_cast<size_t>(i)] = !keep;
+      if (keep) {
+        if (std::fabs(dd[i]) < pivmin) dd[i] = std::copysign(pivmin, dd[i]);
+        const double m = e[i] / dd[i];
+        dd[i + 1] -= m * du[i];
+        mult_[static_cast<size_t>(i)] = m;
+      } else {
+        const double m = dd[i] / e[i];
+        const double t_dd1 = dd[i + 1];
+        const double t_du1 = (i + 2 < n) ? du[i + 1] : 0.0;
+        dd[i] = e[i];
+        const double old_du = du[i];
+        du[i] = t_dd1;
+        if (i + 2 < n) {
+          du2[i] = t_du1;
+          du[i + 1] = -m * t_du1;
+        }
+        dd[i + 1] = old_du - m * t_dd1;
+        mult_[static_cast<size_t>(i)] = m;
       }
-      dd[i + 1] = old_du - m * t_dd1;
-      std::swap(b[i], b[i + 1]);
-      b[i + 1] -= m * b[i];
+    }
+    if (std::fabs(dd[n - 1]) < pivmin)
+      dd[n - 1] = std::copysign(pivmin, dd[n - 1] == 0.0 ? 1.0 : dd[n - 1]);
+  }
+
+  /// Overwrites b with (T - lambda I)^{-1} b.
+  void solve(double* b) const {
+    const idx n = n_;
+    const double* dd = dd_.data();
+    const double* du = du_.data();
+    const double* du2 = du2_.data();
+    for (idx i = 0; i + 1 < n; ++i) {
+      if (swapped_[static_cast<size_t>(i)]) std::swap(b[i], b[i + 1]);
+      b[i + 1] -= mult_[static_cast<size_t>(i)] * b[i];
+    }
+    b[n - 1] /= dd[n - 1];
+    if (n >= 2) {
+      b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / dd[n - 2];
+      for (idx i = n - 3; i >= 0; --i)
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / dd[i];
     }
   }
-  if (std::fabs(dd[n - 1]) < pivmin)
-    dd[n - 1] = std::copysign(pivmin, dd[n - 1] == 0.0 ? 1.0 : dd[n - 1]);
-  b[n - 1] /= dd[n - 1];
-  if (n >= 2) {
-    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / dd[n - 2];
-    for (idx i = n - 3; i >= 0; --i)
-      b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / dd[i];
-  }
-}
+
+private:
+  idx n_;
+  std::vector<double> dd_, du_, du2_, mult_;
+  std::vector<char> swapped_;
+};
 
 }  // namespace
 
@@ -148,10 +253,10 @@ void stein(idx n, const double* d, const double* e,
   const double ortol = 1e-3 * std::max(tnorm, kSafmin);
   const double pivmin = std::max(pivmin_of(n, e), kEps * tnorm * kEps);
 
-  std::vector<double> dl(static_cast<size_t>(n)), dd(static_cast<size_t>(n)),
-      du(static_cast<size_t>(n)), du2(static_cast<size_t>(n)),
-      x(static_cast<size_t>(n));
+  ShiftedLU lu(n);
+  std::vector<double> x(static_cast<size_t>(n));
   Rng rng(0xC0FFEE);
+  std::int64_t solves = 0;
 
   idx cluster_begin = 0;
   for (idx j = 0; j < m; ++j) {
@@ -161,14 +266,15 @@ void stein(idx n, const double* d, const double* e,
     const double lambda =
         w[static_cast<size_t>(j)] +
         (j - cluster_begin) * 10.0 * kEps * std::max(tnorm, 1.0) * kEps;
+    lu.factor(d, e, lambda, pivmin);
 
     rng.fill_normal(x.data(), n);
     double nrm = blas::nrm2(n, x.data(), 1);
     blas::scal(n, 1.0 / nrm, x.data(), 1);
 
     for (int iter = 0; iter < 5; ++iter) {
-      tridiag_solve(n, d, e, lambda, pivmin, dl.data(), dd.data(), du.data(),
-                    du2.data(), x.data());
+      lu.solve(x.data());
+      ++solves;
       // Reorthogonalize within the cluster before normalizing.
       for (idx p = cluster_begin; p < j; ++p) {
         const double proj = blas::dot(n, z + p * ldz, 1, x.data(), 1);
@@ -185,6 +291,8 @@ void stein(idx n, const double* d, const double* e,
     }
     blas::copy(n, x.data(), 1, z + j * ldz, 1);
   }
+  count_flops(m * flop_count::tridiag_factor(n) +
+              solves * flop_count::tridiag_solve(n));
 }
 
 }  // namespace tseig::tridiag

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include "bisect_oracle.hpp"
 #include "blas/blas2.hpp"
 #include "blas/blas3.hpp"
 #include "common/flops.hpp"
 #include "common/rng.hpp"
 #include "solver/syev.hpp"
 #include "test_support.hpp"
+#include "tridiag/bisect.hpp"
 
 namespace tseig {
 namespace {
@@ -128,6 +130,48 @@ TEST(Flops, ScopeIsolatesWork) {
   blas::gemm(op::none, op::none, n, n, n, 1.0, a.data(), a.ld(), a.data(),
              a.ld(), 0.0, c.data(), c.ld());
   EXPECT_EQ(fs.count(), static_cast<std::uint64_t>(2 * n * n * n));
+}
+
+TEST(Flops, BisectionCreditsSturmSteps) {
+  // Every Sturm count is n steps of flop_count::sturm; the one-target
+  // oracle counts how many a bisection of these targets makes.
+  const idx n = 70;
+  Rng rng(8);
+  std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n), 0.0);
+  rng.fill_uniform(d.data(), n);
+  rng.fill_uniform(e.data(), n - 1);
+  std::int64_t counts = 0;
+  (void)testing::bisect_oracle::stebz_index(n, d.data(), e.data(), 4, 30,
+                                            &counts);
+  ASSERT_GT(counts, 0);
+  for (const int workers : {1, 3}) {
+    FlopScope fs;
+    (void)tridiag::stebz_index(n, d.data(), e.data(), 4, 30, workers);
+    EXPECT_EQ(fs.count(),
+              static_cast<std::uint64_t>(flop_count::sturm(counts * n)));
+  }
+  FlopScope fs;
+  (void)tridiag::sturm_count(n, d.data(), e.data(), 0.0);
+  EXPECT_EQ(fs.count(), static_cast<std::uint64_t>(flop_count::sturm(n)));
+}
+
+TEST(Flops, InverseIterationCreditsFactorAndSolves) {
+  // One factorization per eigenvalue and 2..5 solves with it, on top of
+  // the BLAS-1 normalization and reorthogonalization.
+  const idx n = 50, m = 10;
+  Rng rng(9);
+  std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n), 0.0);
+  rng.fill_uniform(d.data(), n);
+  rng.fill_uniform(e.data(), n - 1);
+  const auto w = tridiag::stebz_index(n, d.data(), e.data(), 0, m - 1);
+  Matrix z(n, m);
+  FlopScope fs;
+  tridiag::stein(n, d.data(), e.data(), w, z.data(), z.ld());
+  const std::int64_t lu = flop_count::tridiag_factor(n);
+  const std::int64_t solve = flop_count::tridiag_solve(n);
+  EXPECT_GE(fs.count(), static_cast<std::uint64_t>(m * (lu + 2 * solve)));
+  EXPECT_LE(fs.count(),
+            static_cast<std::uint64_t>(m * (lu + 5 * solve + 40 * n)));
 }
 
 }  // namespace
