@@ -16,6 +16,7 @@
 
 #include "bench_support.hpp"
 #include "common/flops.hpp"
+#include "lapack/generators.hpp"
 #include "twostage/sb2st.hpp"
 #include "twostage/sbtrd_rot.hpp"
 #include "twostage/sy2sb.hpp"
@@ -25,7 +26,8 @@ using namespace tseig;
 int main(int argc, char** argv) {
   const idx n = bench::arg_idx(argc, argv, "--n", 1024);
   bench::BenchRecorder rec("ablation_elimination", argc, argv);
-  Matrix a = bench::random_symmetric(n, 91);
+  Rng rng(91);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   std::printf("Stage-2 elimination ablation (n = %lld): column-wise kernels "
               "vs element-wise Givens\n",

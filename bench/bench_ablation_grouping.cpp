@@ -19,6 +19,7 @@
 #include "bench_support.hpp"
 #include "common/flops.hpp"
 #include "lapack/aux.hpp"
+#include "lapack/generators.hpp"
 #include "twostage/q2_apply.hpp"
 #include "twostage/sb2st.hpp"
 #include "twostage/sy2sb.hpp"
@@ -32,7 +33,9 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(bench::arg_idx(argc, argv, "--reps", 3));
   bench::BenchRecorder rec("ablation_grouping", argc, argv);
 
-  Matrix a = bench::random_symmetric(n, 61);
+  Rng rng(61);
+
+  Matrix a = lapack::random_symmetric(n, rng);
   Matrix e0(n, n);
   lapack::laset(n, n, 0.0, 1.0, e0.data(), e0.ld());
   const double n2m = static_cast<double>(n) * static_cast<double>(n) *

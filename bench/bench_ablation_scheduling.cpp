@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench_support.hpp"
+#include "lapack/generators.hpp"
 #include "twostage/sb2st.hpp"
 #include "twostage/sy2sb.hpp"
 
@@ -26,7 +27,9 @@ int main(int argc, char** argv) {
       static_cast<int>(bench::arg_idx(argc, argv, "--workers", 4));
   bench::BenchRecorder rec("ablation_scheduling", argc, argv);
 
-  Matrix a = bench::random_symmetric(n, 71);
+  Rng rng(71);
+
+  Matrix a = lapack::random_symmetric(n, rng);
 
   std::printf("Scheduling ablation (n = %lld, nb = %lld)\n",
               static_cast<long long>(n), static_cast<long long>(nb));

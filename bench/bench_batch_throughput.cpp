@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_support.hpp"
+#include "lapack/generators.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
@@ -94,7 +95,8 @@ int main(int argc, char** argv) {
     std::printf("--- %d worker%s ---\n", workers, workers > 1 ? "s" : "");
     bench::print_header("batch x n", {"seq p/s", "batch p/s", "speedup"});
     for (idx n : sizes) {
-      const Matrix a = bench::random_symmetric(n, 1234 + n);
+      Rng rng(1234 + n);
+      const Matrix a = lapack::random_symmetric(n, rng);
       for (idx count : batch_sizes) {
         const Cell cell = run_cell(a, count, workers, reps);
         cells.push_back(cell);
@@ -134,7 +136,8 @@ int main(int argc, char** argv) {
     // Chrome trace of the largest cell: shows the whole-problem tasks
     // packing onto workers (batch_solve spans) and the queue (batch_enqueue
     // markers at t ~ 0).
-    const Matrix a = bench::random_symmetric(sizes.back(), 99);
+    Rng rng(99);
+    const Matrix a = lapack::random_symmetric(sizes.back(), rng);
     std::vector<solver::BatchProblem> batch(
         static_cast<size_t>(batch_sizes.back()));
     for (solver::BatchProblem& p : batch) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench_support.hpp"
+#include "lapack/generators.hpp"
 #include "solver/syev.hpp"
 
 using namespace tseig;
@@ -48,7 +49,8 @@ int main(int argc, char** argv) {
   std::printf("Figure 1a reproduction: one-stage phase shares "
               "(all eigenvectors, D&C)\n");
   for (idx n : bench::sweep_sizes(nmax)) {
-    Matrix a = bench::random_symmetric(n, 11);
+    Rng rng(11);
+    Matrix a = lapack::random_symmetric(n, rng);
     solver::SyevOptions opts;
     opts.algo = solver::method::one_stage;
     opts.solver = solver::eig_solver::dc;
@@ -61,7 +63,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nFigure 1a (values-only): TRD share of the total\n");
   for (idx n : bench::sweep_sizes(nmax)) {
-    Matrix a = bench::random_symmetric(n, 11);
+    Rng rng(11);
+    Matrix a = lapack::random_symmetric(n, rng);
     solver::SyevOptions opts;
     opts.algo = solver::method::one_stage;
     opts.solver = solver::eig_solver::dc;
@@ -76,7 +79,8 @@ int main(int argc, char** argv) {
   std::printf("\nFigure 1b reproduction: two-stage phase shares "
               "(all eigenvectors, D&C)\n");
   for (idx n : bench::sweep_sizes(nmax)) {
-    Matrix a = bench::random_symmetric(n, 11);
+    Rng rng(11);
+    Matrix a = lapack::random_symmetric(n, rng);
     solver::SyevOptions opts;
     opts.algo = solver::method::two_stage;
     opts.solver = solver::eig_solver::dc;

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench_support.hpp"
+#include "lapack/generators.hpp"
 #include "solver/syev.hpp"
 
 using namespace tseig;
@@ -68,7 +69,8 @@ int main(int argc, char** argv) {
                                ? std::max<idx>(nmax, 4096)
                                : nmax;
     for (idx n : bench::sweep_sizes(panel_nmax)) {
-      Matrix a = bench::random_symmetric(n, 21);
+      Rng rng(21);
+      Matrix a = lapack::random_symmetric(n, rng);
       auto r1 = run(a, solver::method::one_stage, p.sol, p.job, p.f, nb);
       auto r2 = run(a, solver::method::two_stage, p.sol, p.job, p.f, nb);
       double t1 = r1.phases.total_seconds();

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench_support.hpp"
+#include "lapack/generators.hpp"
 #include "twostage/sb2st.hpp"
 #include "twostage/sy2sb.hpp"
 
@@ -20,7 +21,8 @@ using namespace tseig;
 int main(int argc, char** argv) {
   const idx n = bench::arg_idx(argc, argv, "--n", 1024);
   bench::BenchRecorder rec("fig5_tilesize", argc, argv);
-  Matrix a = bench::random_symmetric(n, 31);
+  Rng rng(31);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   std::printf("Figure 5 reproduction: stage performance vs tile size nb "
               "(n = %lld)\n",

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_support.hpp"
+#include "lapack/generators.hpp"
 #include "twostage/sb2st.hpp"
 #include "twostage/sy2sb.hpp"
 
@@ -22,7 +23,8 @@ using namespace tseig;
 int main(int argc, char** argv) {
   const idx n = bench::arg_idx(argc, argv, "--n", 1024);
   bench::BenchRecorder rec("model_bulge", argc, argv);
-  Matrix a = bench::random_symmetric(n, 51);
+  Rng rng(51);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   const std::vector<idx> nbs = {16, 24, 32, 48, 64, 96, 128, 192};
   std::vector<double> meas;

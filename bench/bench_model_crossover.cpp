@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench_support.hpp"
+#include "lapack/generators.hpp"
 #include "solver/syev.hpp"
 
 using namespace tseig;
@@ -73,7 +74,9 @@ int main(int argc, char** argv) {
         4.0 / 3.0 * n3 / (alpha_tile * p) + 6.0 * nb * n2 / (beta * p) +
         (2.0 * (1.0 + ell / nb) + 2.0) * f * n3 / (alpha_tile * p);
 
-    Matrix a = bench::random_symmetric(n, 41);
+    Rng rng(41);
+
+    Matrix a = lapack::random_symmetric(n, rng);
     solver::SyevOptions opts;
     opts.solver = solver::eig_solver::dc;
     opts.fraction = f;

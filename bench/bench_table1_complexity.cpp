@@ -17,6 +17,7 @@
 #include <cstdio>
 
 #include "bench_support.hpp"
+#include "lapack/generators.hpp"
 #include "solver/syev.hpp"
 
 using namespace tseig;
@@ -50,7 +51,8 @@ int main(int argc, char** argv) {
   const idx nb = bench::arg_idx(argc, argv, "--nb", 48);
   bench::BenchRecorder rec("table1_complexity", argc, argv);
   g_rec = &rec;
-  Matrix a = bench::random_symmetric(n, 1);
+  Rng rng(1);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   std::printf("Table 1 reproduction: phase flops / n^3 at n = %lld "
               "(nb = %lld)\n",

@@ -16,6 +16,7 @@
 #include "bench_support.hpp"
 #include "blas/blas2.hpp"
 #include "common/rng.hpp"
+#include "lapack/generators.hpp"
 
 using namespace tseig;
 
@@ -23,7 +24,8 @@ int main(int argc, char** argv) {
   const idx n = bench::arg_idx(argc, argv, "--n", 3072);
   const int reps = static_cast<int>(bench::arg_idx(argc, argv, "--reps", 3));
 
-  Matrix a = bench::random_symmetric(n, 7);
+  Rng arng(7);
+  Matrix a = lapack::random_symmetric(n, arng);
   std::vector<double> x(static_cast<size_t>(n)), y(static_cast<size_t>(n));
   Rng rng(3);
   rng.fill_uniform(x.data(), n);

@@ -32,6 +32,7 @@
 #include "bench_support.hpp"
 #include "common/rng.hpp"
 #include "lapack/aux.hpp"
+#include "lapack/generators.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "tridiag/bisect.hpp"
@@ -99,7 +100,9 @@ int main(int argc, char** argv) {
   bench::BenchRecorder rec("trace_schedule", argc, argv);
   bench::init_telemetry(argc, argv);
 
-  Matrix a = bench::random_symmetric(n, 81);
+  Rng rng(81);
+
+  Matrix a = lapack::random_symmetric(n, rng);
   auto s1 = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
 
   std::printf("Bulge-chasing schedule trace (n = %lld, nb = %lld, workers = "

@@ -9,6 +9,7 @@
 #include "blas/blas2.hpp"
 #include "blas/blas3.hpp"
 #include "blas/kernels/registry.hpp"
+#include "lapack/generators.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
@@ -18,19 +19,6 @@
 #endif
 
 namespace tseig::bench {
-
-Matrix random_symmetric(idx n, std::uint64_t seed) {
-  Rng rng(seed);
-  Matrix a(n, n);
-  for (idx j = 0; j < n; ++j) {
-    for (idx i = j; i < n; ++i) {
-      const double v = 2.0 * rng.uniform() - 1.0;
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  }
-  return a;
-}
 
 void print_row(const std::string& label, const std::vector<double>& values,
                int width, int precision) {
@@ -114,7 +102,9 @@ std::vector<idx> sweep_sizes(idx nmax) {
 }
 
 double measure_alpha(idx n, int reps) {
-  Matrix a = random_symmetric(n, 1), b = random_symmetric(n, 2), c(n, n);
+  Rng ra(1), rb(2);
+  Matrix a = lapack::random_symmetric(n, ra),
+         b = lapack::random_symmetric(n, rb), c(n, n);
   const double secs = time_best(reps, [&] {
     blas::gemm(op::none, op::none, n, n, n, 1.0, a.data(), a.ld(), b.data(),
                b.ld(), 0.0, c.data(), c.ld());
@@ -123,7 +113,8 @@ double measure_alpha(idx n, int reps) {
 }
 
 double measure_beta(idx n, int reps) {
-  Matrix a = random_symmetric(n, 3);
+  Rng rng(3);
+  Matrix a = lapack::random_symmetric(n, rng);
   std::vector<double> x(static_cast<size_t>(n), 1.0),
       y(static_cast<size_t>(n));
   const double secs = time_best(reps, [&] {
@@ -187,7 +178,8 @@ void BenchRecorder::flush() {
 }
 
 double measure_beta_symv(idx n, int reps) {
-  Matrix a = random_symmetric(n, 4);
+  Rng rng(4);
+  Matrix a = lapack::random_symmetric(n, rng);
   std::vector<double> x(static_cast<size_t>(n), 1.0),
       y(static_cast<size_t>(n));
   const double secs = time_best(reps, [&] {

@@ -9,15 +9,10 @@
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
 
 namespace tseig::bench {
-
-/// Random symmetric matrix with entries uniform in (-1, 1); the standard
-/// benchmark workload (the paper benchmarks random dense symmetric systems).
-Matrix random_symmetric(idx n, std::uint64_t seed);
 
 /// Runs `fn` and returns elapsed wall seconds.
 template <class F>

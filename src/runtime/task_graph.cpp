@@ -57,6 +57,15 @@ struct ActiveTaskGuard {
   }
 };
 
+/// Resolves a requested worker count: <= 0 is the library default, and a
+/// graph inside a pool worker or a fork_join (a nested graph) runs on the
+/// calling thread alone instead of oversubscribing -- the outer construct's
+/// workers already own the machine.
+int resolve_graph_workers(int requested) {
+  return ThreadPool::in_parallel_region() ? 1
+                                          : resolve_num_workers(requested);
+}
+
 }  // namespace
 
 namespace detail {
@@ -73,6 +82,10 @@ void region_key_out_of_range(std::uint32_t tag, std::uint32_t i,
 }  // namespace detail
 
 int TaskGraph::current_worker() { return tl_graph_worker; }
+
+TaskGraph::TaskGraph(int num_workers) : TaskGraph() {
+  num_workers_ = resolve_graph_workers(num_workers);
+}
 
 TaskGraph::TaskGraph() {
   const ValidationConfig c = validation_config();
@@ -95,22 +108,23 @@ void TaskGraph::add_edge(idx from, idx to) {
 }
 
 void TaskGraph::add_dependency(idx before, idx after) {
+  if (num_workers_ == 1) return;  // inline: both tasks have already run
   require(before >= 0 && before < size() && after >= 0 && after < size() &&
               before != after,
           "TaskGraph::add_dependency: invalid task id pair");
   add_edge(before, after);
 }
 
-idx TaskGraph::submit(std::function<void()> fn,
-                      const std::vector<Access>& accesses,
-                      const Options& opts) {
+idx TaskGraph::add_task(std::function<void()> fn,
+                        std::span<const Access> accesses,
+                        const Options& opts) {
   const idx id = static_cast<idx>(tasks_.size());
   Task t;
   t.fn = std::move(fn);
   t.priority = opts.priority;
   t.worker_hint = opts.worker_hint;
   t.label = opts.label;
-  if (validate_) t.accesses = accesses;
+  if (validate_) t.accesses.assign(accesses.begin(), accesses.end());
   tasks_.push_back(std::move(t));
 
   for (const Access& a : accesses) {
@@ -207,13 +221,21 @@ void TaskGraph::record_run(int num_workers, double run_start,
   obs::record_graph_run(std::move(run));
 }
 
-void TaskGraph::run(int num_workers) {
-  num_workers = resolve_num_workers(num_workers);
-  // Nested graph (a task of an outer graph runs a graph of its own):
-  // execute on the calling thread only -- the outer graph's workers already
-  // own the machine.
-  if (ThreadPool::in_parallel_region()) num_workers = 1;
+void TaskGraph::run() {
+  require(num_workers_ > 0,
+          "TaskGraph::run: graph built without a worker count, use "
+          "run(num_workers)");
+  if (num_workers_ > 1) execute(num_workers_);
+}
 
+void TaskGraph::run(int num_workers) {
+  require(num_workers_ == 0,
+          "TaskGraph::run(num_workers): the worker count was fixed at "
+          "construction, use run()");
+  execute(resolve_graph_workers(num_workers));
+}
+
+void TaskGraph::execute(int num_workers) {
   if (validate_) {
     try {
       GraphValidator::check(*this);

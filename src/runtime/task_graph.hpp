@@ -24,11 +24,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/telemetry.hpp"
 
 namespace tseig::rt {
 
@@ -88,43 +92,81 @@ constexpr std::uint64_t region_key(std::uint32_t tag, std::uint32_t i,
 inline Access rd(std::uint64_t region) { return {region, access::read}; }
 inline Access wr(std::uint64_t region) { return {region, access::write}; }
 
+/// Per-task scheduling options (TaskGraph::Options).
+struct TaskOptions {
+  /// Larger values run earlier among ready tasks.
+  int priority = 0;
+  /// >= 0 pins the task to worker (hint % num_workers); -1 lets any worker
+  /// run it.
+  int worker_hint = -1;
+  /// Label recorded in traces and telemetry.  Interned: the pointer is
+  /// stored verbatim (no copy), so it must be a static string.
+  const char* label = "";
+};
+
 /// A dependency-tracked task graph.  Usage:
 ///
-///   TaskGraph g;
+///   TaskGraph g(num_workers);
 ///   g.submit([..]{ kernel(..); }, {rd(keyA), wr(keyB)}, {.priority = 2});
 ///   ...
-///   g.run(num_workers);
+///   g.run();
 ///
 /// submit() derives dependences from the access declarations in submission
 /// order, i.e. the graph executes *as if* the tasks ran serially in the
 /// order submitted (sequential consistency per region), with everything
 /// independent free to run concurrently.
+///
+/// One execution path for serial and parallel runs: a graph of one worker
+/// is *inline*.  submit() runs the task at once on the calling thread inside
+/// obs::Span(opts.label) and returns -1; a task's exception leaves submit().
+/// Submission order is a valid schedule (hazard edges only point from
+/// earlier to later submissions), so the result is the parallel one.  No
+/// std::function is built and the access list is not copied, so one worker
+/// costs what a hand-written serial loop does.  run(), add_dependency(),
+/// apply_critical_path_priorities() and set_schedule_info() do nothing,
+/// validation_enabled() is false and no obs::GraphRun is recorded.  Inline
+/// tasks run outside any run(): current_worker() is the enclosing one's.
 class TaskGraph {
 public:
-  /// Per-task scheduling options.
-  struct Options {
-    /// Larger values run earlier among ready tasks.
-    int priority = 0;
-    /// >= 0 pins the task to worker (hint % num_workers); -1 lets any worker
-    /// run it.
-    int worker_hint = -1;
-    /// Label recorded in traces and telemetry.  Interned: the pointer is
-    /// stored verbatim (no copy), so it must be a static string.
-    const char* label = "";
-  };
+  using Options = TaskOptions;
 
-  /// Validation, fuzzing and serial elision default to the process-wide
+  /// A graph for `num_workers` logical workers, resolved once here: <= 0
+  /// selects default_num_threads(), and a graph built inside a pool worker
+  /// or a fork_join (a nested graph) gets 1, since the outer construct owns
+  /// the machine.  Validation, fuzzing and serial elision default to
   /// rt::validation_config() (TSEIG_VALIDATE / TSEIG_FUZZ_SEED /
   /// TSEIG_SERIAL_ELISION); the enable_* methods override per graph.
+  explicit TaskGraph(int num_workers);
+  /// A graph whose count is given to run(num_workers) instead.  Never
+  /// inline: even run(1) goes through the ready queue, which the scheduler
+  /// tests exercise.  Library code builds graphs with a count.
   TaskGraph();
   TaskGraph(const TaskGraph&) = delete;
   TaskGraph& operator=(const TaskGraph&) = delete;
 
-  /// Submits a task with its region access list.  Returns the task id.
-  idx submit(std::function<void()> fn, const std::vector<Access>& accesses,
-             const Options& opts);
-  idx submit(std::function<void()> fn, const std::vector<Access>& accesses) {
-    return submit(std::move(fn), accesses, Options());
+  /// Worker count fixed at construction (1 = inline), for worker hints;
+  /// 0 for a graph whose count is given to run(num_workers).
+  int num_workers() const { return num_workers_; }
+
+  /// Submits a task with its region access list.  Returns the task id, or
+  /// -1 when the graph is inline and the task has already run.
+  template <class F>
+  idx submit(F&& fn, std::span<const Access> accesses,
+             const Options& opts = {}) {
+    if (num_workers_ == 1) {
+      obs::Span span(opts.label);
+      fn();
+      return -1;
+    }
+    return add_task(std::function<void()>(std::forward<F>(fn)), accesses,
+                    opts);
+  }
+  template <class F>
+  idx submit(F&& fn, std::initializer_list<Access> accesses,
+             const Options& opts = {}) {
+    return submit(std::forward<F>(fn),
+                  std::span<const Access>(accesses.begin(), accesses.size()),
+                  opts);
   }
 
   /// Adds a manual dependency edge `before -> after` on top of the derived
@@ -161,14 +203,14 @@ public:
     run_priority_scheme_ = priority_scheme != nullptr ? priority_scheme : "";
   }
 
-  /// Executes the whole graph on `num_workers` logical workers (>=1); 0 or
-  /// negative selects default_num_threads().  The calling thread acts as
-  /// worker 0, the rest are borrowed from the persistent rt::ThreadPool (no
-  /// OS threads are spawned on warm calls).  When run() is invoked from
-  /// inside a pool worker (a nested graph), it executes on the calling
-  /// thread alone instead of oversubscribing.  Rethrows the first task
-  /// exception after all workers have drained.  The graph is left empty and
-  /// reusable.
+  /// Executes the whole graph on the worker count fixed at construction.
+  /// The calling thread acts as worker 0, the rest are borrowed from the
+  /// persistent rt::ThreadPool (no OS threads are spawned on warm calls).
+  /// Rethrows the first task exception after all workers have drained.
+  /// The graph is left empty and reusable.
+  void run();
+  /// run() for a graph built without a count; `num_workers` is resolved as
+  /// the constructor resolves it.  Throws on a graph built with a count.
   void run(int num_workers);
 
   /// Logical worker id (0..num_workers-1) of the innermost run() the calling
@@ -190,7 +232,7 @@ public:
   /// running task's declarations.  Must be set before the first submit() to
   /// cover every task.  Defaults to rt::validation_config().validate.
   void enable_validation(bool on) { validate_ = on; }
-  bool validation_enabled() const { return validate_; }
+  bool validation_enabled() const { return validate_ && num_workers_ != 1; }
 
   /// Attaches the region-key -> byte-footprint registry the static audit
   /// and the dynamic checker's diagnostics resolve regions through.  The map
@@ -245,7 +287,11 @@ private:
     idx max_ready_depth = 0;     ///< peak ready-queue depth observed
   };
 
+  idx add_task(std::function<void()> fn, std::span<const Access> accesses,
+               const Options& opts);
   void add_edge(idx from, idx to);
+  /// run()'s body for a resolved worker count (>= 1).
+  void execute(int num_workers);
   void run_elided();
   /// Records this run's DAG + measured durations into tseig::obs (must be
   /// called before tasks_ is cleared).
@@ -253,6 +299,8 @@ private:
                   const std::vector<double>& durations,
                   const WaitStats& waits);
 
+  /// Fixed worker count (1 = inline); 0 = given to run(num_workers).
+  int num_workers_ = 0;
   std::vector<Task> tasks_;
   // Region key -> hazard state.
   std::unordered_map<std::uint64_t, RegionState> regions_;

@@ -255,7 +255,7 @@ void GraphValidator::check(const TaskGraph& g) {
 
 namespace detail {
 
-thread_local const ActiveTask* tl_active_task = nullptr;
+thread_local constinit const ActiveTask* tl_active_task = nullptr;
 
 void touch_checked(std::uint64_t region, bool is_write) {
   const ActiveTask* at = tl_active_task;

@@ -161,7 +161,9 @@ struct ActiveTask {
   const RegionMap* map = nullptr;
 };
 
-extern thread_local const ActiveTask* tl_active_task;
+/// constinit: no dynamic initialization, so a touch reads the variable
+/// directly instead of calling its thread-local wrapper function.
+extern thread_local constinit const ActiveTask* tl_active_task;
 
 /// Slow path: verifies `region` against the active task's declarations and
 /// throws validation_error on an undeclared region or a write to a

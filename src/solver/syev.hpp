@@ -79,7 +79,7 @@ struct SyevOptions {
   /// (default 1).  Never changes results.
   int lookahead = -1;
   /// Worker subset for the memory-bound bulge chasing (0 = all).  Default 1:
-  /// the chase runs its sequential loop, which bench_ablation_scheduling
+  /// the chase runs inline in submission order, which bench_ablation_scheduling
   /// measures as fast as or faster than any parallel schedule at n = 1024
   /// and 1536 on 2 and 4 workers (EXPERIMENTS.md, stage-2 subset table).
   int stage2_workers = 1;

@@ -153,7 +153,11 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
   // flight, each solved with one worker (the nesting rule would serialize
   // inner constructs regardless; passing 1 makes the plan honest).
   if (!small_list.empty() || !tiny.empty()) {
-    rt::TaskGraph g;
+    const idx task_count = static_cast<idx>(
+        small_list.size() +
+        (tiny.size() + static_cast<size_t>(kTinyChunk) - 1) /
+            static_cast<size_t>(kTinyChunk));
+    rt::TaskGraph g(static_cast<int>(std::min<idx>(budget, task_count)));
     rt::RegionMap region_map;
     if (g.validation_enabled()) {
       // Problem i's region: the columns of its input/output matrix (lda may
@@ -214,11 +218,7 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
           },
           acc, topts);
     }
-    const idx task_count = static_cast<idx>(
-        small_list.size() +
-        (tiny.size() + static_cast<size_t>(kTinyChunk) - 1) /
-            static_cast<size_t>(kTinyChunk));
-    g.run(static_cast<int>(std::min<idx>(budget, task_count)));
+    g.run();
   }
 
   const double t_end = obs::now_seconds();

@@ -262,10 +262,10 @@ void stein(idx n, const double* d, const double* e,
   for (idx j = 0; j < m; ++j) {
     if (j > 0 && w[static_cast<size_t>(j)] - w[static_cast<size_t>(j - 1)] > ortol)
       cluster_begin = j;
-    // Perturb repeated eigenvalues slightly apart (xSTEIN strategy).
-    const double lambda =
-        w[static_cast<size_t>(j)] +
-        (j - cluster_begin) * 10.0 * kEps * std::max(tnorm, 1.0) * kEps;
+    // Perturb repeated eigenvalues slightly apart (xSTEIN strategy),
+    // relative to ||T|| like the cluster test above.
+    const double lambda = w[static_cast<size_t>(j)] +
+                          (j - cluster_begin) * 10.0 * kEps * tnorm * kEps;
     lu.factor(d, e, lambda, pivmin);
 
     rng.fill_normal(x.data(), n);

@@ -157,7 +157,7 @@ void gemm_cols(idx rows, idx k, const Matrix& qk, const Matrix& u, Matrix& g,
                u.data(), u.ld(), 0.0, g.data(), g.ld());
     return;
   }
-  rt::TaskGraph graph;
+  rt::TaskGraph graph(nw);
   rt::RegionMap region_map;
   if (graph.validation_enabled()) {
     // Column block starting at c0 of the output G (per-column intervals).
@@ -189,7 +189,7 @@ void gemm_cols(idx rows, idx k, const Matrix& qk, const Matrix& u, Matrix& g,
         },
         {rt::wr(ckey)}, opts);
   }
-  graph.run(nw);
+  graph.run();
 }
 
 /// Rank-one merge: eigen-decomposes diag(dd) + z z^T where the current
@@ -507,48 +507,40 @@ void stedc(idx n, double* d, double* e, double* z, idx ldz,
     for (idx id : by_depth[static_cast<size_t>(depth)]) {
       (nodes[static_cast<size_t>(id)].left < 0 ? leaves : merges).push_back(id);
     }
-    const bool leaves_across = ctx.workers > 1 && leaves.size() > 1;
     const bool merges_across =
         ctx.workers > 1 && merges.size() >= static_cast<size_t>(ctx.workers);
-
-    if (leaves_across || merges_across) {
-      rt::TaskGraph graph;
-      if (graph.validation_enabled()) graph.set_region_map(&region_map);
-      auto submit = [&](idx id, const char* label, bool is_leaf) {
-        Node* nd = &nodes[static_cast<size_t>(id)];
-        rt::TaskGraph::Options topts;
-        // Larger subproblems first among ready tasks.
-        topts.priority = static_cast<int>(std::min<idx>(nd->n, 1 << 30));
-        topts.label = label;
-        Node* lch = is_leaf ? nullptr : &nodes[static_cast<size_t>(nd->left)];
-        Node* rch = is_leaf ? nullptr : &nodes[static_cast<size_t>(nd->right)];
-        const auto nkey =
-            rt::region_key(kTagDcNode, static_cast<std::uint32_t>(nd->off),
-                           static_cast<std::uint32_t>(nd->n));
-        graph.submit(
-            [nd, lch, rch, d, e, is_leaf, &ctx, nkey] {
-              rt::touch_write(nkey);
-              if (is_leaf) {
-                solve_leaf(*nd, d, e);
-              } else {
-                // Intra-merge constructs self-serialize on pool workers.
-                merge_node(*nd, *lch, *rch, d, 1, ctx);
-              }
-            },
-            {rt::wr(nkey)}, topts);
-      };
-      if (leaves_across)
-        for (idx id : leaves) submit(id, "dc_leaf", true);
-      if (merges_across)
-        for (idx id : merges) submit(id, "dc_merge", false);
-      graph.run(ctx.workers);
-    }
-    if (!leaves_across) {
-      for (idx id : leaves) {
-        obs::Span span("dc_leaf");
-        solve_leaf(nodes[static_cast<size_t>(id)], d, e);
-      }
-    }
+    // At most one worker per task: a level of one task runs inline.
+    const size_t tasks = leaves.size() + (merges_across ? merges.size() : 0);
+    rt::TaskGraph graph(static_cast<int>(
+        std::clamp<size_t>(tasks, 1, static_cast<size_t>(ctx.workers))));
+    if (graph.validation_enabled()) graph.set_region_map(&region_map);
+    auto submit = [&](idx id, const char* label, bool is_leaf) {
+      Node* nd = &nodes[static_cast<size_t>(id)];
+      rt::TaskGraph::Options topts;
+      // Larger subproblems first among ready tasks.
+      topts.priority = static_cast<int>(std::min<idx>(nd->n, 1 << 30));
+      topts.label = label;
+      Node* lch = is_leaf ? nullptr : &nodes[static_cast<size_t>(nd->left)];
+      Node* rch = is_leaf ? nullptr : &nodes[static_cast<size_t>(nd->right)];
+      const auto nkey =
+          rt::region_key(kTagDcNode, static_cast<std::uint32_t>(nd->off),
+                         static_cast<std::uint32_t>(nd->n));
+      graph.submit(
+          [nd, lch, rch, d, e, is_leaf, &ctx, nkey] {
+            rt::touch_write(nkey);
+            if (is_leaf) {
+              solve_leaf(*nd, d, e);
+            } else {
+              // Intra-merge constructs self-serialize on pool workers.
+              merge_node(*nd, *lch, *rch, d, 1, ctx);
+            }
+          },
+          {rt::wr(nkey)}, topts);
+    };
+    for (idx id : leaves) submit(id, "dc_leaf", true);
+    if (merges_across)
+      for (idx id : merges) submit(id, "dc_merge", false);
+    graph.run();
     if (!merges_across) {
       for (idx id : merges) {
         Node& nd = nodes[static_cast<size_t>(id)];
@@ -562,12 +554,6 @@ void stedc(idx n, double* d, double* e, double* z, idx ldz,
   const Matrix& q = nodes[0].q;
   lapack::lacpy(n, n, q.data(), q.ld(), z, ldz);
   g_stats = ctx.stats();
-}
-
-void stedc(idx n, double* d, double* e, double* z, idx ldz, idx crossover) {
-  StedcOptions opts;
-  opts.crossover = crossover;
-  stedc(n, d, e, z, ldz, opts);
 }
 
 StedcStats stedc_last_stats() { return g_stats; }

@@ -55,10 +55,6 @@ struct StedcOptions {
 void stedc(idx n, double* d, double* e, double* z, idx ldz,
            const StedcOptions& opts);
 
-/// Serial convenience wrapper (the pre-parallel signature).
-void stedc(idx n, double* d, double* e, double* z, idx ldz,
-           idx crossover = 32);
-
 /// Statistics of the last stedc call on this thread (test/diagnostic aid).
 /// Counts are aggregated across all workers of that call: each merge task
 /// accumulates into a private StedcStats and flushes it once, under a lock,

@@ -5,9 +5,7 @@
 
 #include "common/matrix.hpp"
 #include "lapack/householder.hpp"
-#include "obs/telemetry.hpp"
 #include "runtime/task_graph.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/validate.hpp"
 #include "twostage/packed_reflector.hpp"
 
@@ -116,7 +114,6 @@ void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
   require(col_block > 0, "apply_q2: col_block must be positive");
   if (nsweeps == 0 || ncols == 0) return;
   ell = std::max<idx>(1, ell);
-  num_workers = rt::resolve_num_workers(num_workers);
 
   // Diamonds are packed one sweep group at a time into a ring slot and
   // swept over every column block of E (Figure 3c: communication-free
@@ -132,20 +129,7 @@ void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
       d.h.apply(e + d.r0 + c0 * lde, lde, nc);
   };
 
-  if (num_workers <= 1) {
-    for (idx g = 0; g < ngroups; ++g) {
-      {
-        obs::Span span("q2_pack");
-        pack_group(g);
-      }
-      for (idx c0 = 0; c0 < ncols; c0 += col_block) {
-        obs::Span span("q2_cols");
-        apply_group(g, c0, std::min(col_block, ncols - c0));
-      }
-    }
-    return;
-  }
-  rt::TaskGraph graph;
+  rt::TaskGraph graph(num_workers);
   rt::RegionMap region_map;
   const idx n_rows = v2.n();
   if (graph.validation_enabled()) {
@@ -171,33 +155,29 @@ void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
   for (idx g = 0; g < ngroups; ++g) {
     const auto skey = rt::region_key(
         kTagQ2Slot, static_cast<std::uint32_t>(g % kSlots), 0);
-    rt::TaskGraph::Options bopts;
-    bopts.label = "q2_pack";
     graph.submit(
         [pack_group, g, skey] {
           rt::touch_write(skey);
           pack_group(g);
         },
-        {rt::wr(skey)}, bopts);
+        {rt::wr(skey)}, {.label = "q2_pack"});
     int hint = 0;
     for (idx c0 = 0; c0 < ncols; c0 += col_block) {
       const idx nc = std::min(col_block, ncols - c0);
       const auto ckey =
           rt::region_key(kTagQ2Cols, static_cast<std::uint32_t>(c0), 0);
-      rt::TaskGraph::Options opts;
       // Static column ownership: block -> worker, as in Figure 3c.
-      opts.worker_hint = hint++ % num_workers;
-      opts.label = "q2_cols";
       graph.submit(
           [apply_group, g, c0, nc, skey, ckey] {
             rt::touch_read(skey);
             rt::touch_write(ckey);
             apply_group(g, c0, nc);
           },
-          {rt::rd(skey), rt::wr(ckey)}, opts);
+          {rt::rd(skey), rt::wr(ckey)},
+          {.worker_hint = hint++ % graph.num_workers(), .label = "q2_cols"});
     }
   }
-  graph.run(num_workers);
+  graph.run();
 }
 
 }  // namespace tseig::twostage

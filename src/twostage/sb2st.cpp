@@ -1,15 +1,15 @@
 #include "twostage/sb2st.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "blas/blas1.hpp"
 #include "common/flops.hpp"
 #include "lapack/householder.hpp"
-#include "obs/telemetry.hpp"
 #include "runtime/task_graph.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/validate.hpp"
 
 namespace tseig::twostage {
@@ -259,16 +259,17 @@ V2Factor chase_level(const WorkBand& wb, idx n, idx nb, idx d,
   if (nb <= d || n < d + 2) return v2;  // nothing below the target band
 
   const idx group = std::max<idx>(1, opts.group);
-  const int num_workers = rt::resolve_num_workers(opts.num_workers);
-  const int w2 = opts.stage2_workers > 0
-                     ? std::min(opts.stage2_workers, num_workers)
-                     : num_workers;
-  // A one-worker subset runs every chase task on one lane anyway: take the
-  // serial loop and skip the task graph's bookkeeping.
-  const bool parallel = w2 > 1;
-  rt::TaskGraph graph;
+  // The graph runs on the stage-2 subset only: every chase task is pinned
+  // to it, so the rest of the budget would idle.  A one-worker subset makes
+  // the graph inline.
+  const int w2 = opts.stage2_workers > 0 &&
+                         (opts.num_workers <= 0 ||
+                          opts.stage2_workers < opts.num_workers)
+                     ? opts.stage2_workers
+                     : opts.num_workers;
+  rt::TaskGraph graph(w2);
   rt::RegionMap region_map;
-  if (parallel && graph.validation_enabled()) {
+  if (graph.validation_enabled()) {
     region_map.add_resolver(
         kTagLattice, [&wb, &v2, n, nb, group](std::uint32_t s,
                                               std::uint32_t c) {
@@ -304,37 +305,32 @@ V2Factor chase_level(const WorkBand& wb, idx n, idx nb, idx d,
           apply_right(wb, n, nb, v2.start(s, nbl - 1), v2.len(s, nbl - 1),
                       v2.v(s, nbl - 1), v2.tau(s, nbl - 1), w.data());
       };
-      if (!parallel) {
-        // Same "chase" span the graph tasks record, so the serial path
-        // shows up on the unified timeline too (arg = sweep index).
-        obs::Span span("chase", static_cast<std::int32_t>(s));
-        body();
-        continue;
-      }
       // Functional dependences of the chase lattice (paper Section 5.2):
       // coarse task (s, c) after (s, c-1) and after (s-1, c), (s-1, c+1).
-      std::vector<rt::Access> acc;
+      std::array<rt::Access, 4> acc;
+      std::size_t nacc = 0;
       // Fault-injection knob for validator tests: the selected task omits
       // its write declaration, exactly the bug class the dynamic checker
       // exists to catch.
       if (submitted != opts.drop_write_task)
-        acc.push_back(rt::wr(lat_key(s, c)));
-      if (c > 0) acc.push_back(rt::rd(lat_key(s, c - 1)));
+        acc[nacc++] = rt::wr(lat_key(s, c));
+      if (c > 0) acc[nacc++] = rt::rd(lat_key(s, c - 1));
       if (s > 0) {
-        acc.push_back(rt::rd(lat_key(s - 1, c)));
-        acc.push_back(rt::rd(lat_key(s - 1, c + 1)));
+        acc[nacc++] = rt::rd(lat_key(s - 1, c));
+        acc[nacc++] = rt::rd(lat_key(s - 1, c + 1));
       }
       rt::TaskGraph::Options topts;
       // Early sweeps lead the pipeline; pin chase positions to the
-      // stage-2 worker subset for band locality.
+      // stage-2 workers for band locality.
       topts.priority = static_cast<int>(-s);
-      topts.worker_hint = static_cast<int>(c % w2);
+      topts.worker_hint = static_cast<int>(c % graph.num_workers());
       topts.label = "chase";
-      graph.submit(std::move(body), acc, topts);
+      graph.submit(std::move(body),
+                   std::span<const rt::Access>(acc.data(), nacc), topts);
       ++submitted;
     }
   }
-  if (parallel) graph.run(num_workers);
+  graph.run();
   return v2;
 }
 

@@ -4,10 +4,8 @@
 #include <vector>
 
 #include "lapack/aux.hpp"
-#include "obs/telemetry.hpp"
 #include "runtime/env.hpp"
 #include "runtime/task_graph.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/validate.hpp"
 #include "twostage/packed_reflector.hpp"
 #include "twostage/tile_kernels.hpp"
@@ -117,7 +115,6 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
   // nb >= n degenerates to a single tile: the "band" is the full lower
   // triangle and Q1 is the identity (no panels to reduce).
   require(n >= 1 && nb >= 1, "sy2sb: bad dimensions");
-  const int num_workers = rt::resolve_num_workers(opts.num_workers);
   const int lookahead = resolve_lookahead(opts.lookahead);
 
   SymTileMatrix tiles(n, nb);
@@ -136,31 +133,14 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
   q1.vts.resize(static_cast<size_t>(nts));
   q1.tts.resize(static_cast<size_t>(nts));
 
-  rt::TaskGraph graph;
-  const bool parallel = num_workers > 1;
+  // At one worker the graph is inline: every task runs as it is submitted,
+  // the identical kernel sequence a parallel run schedules.
+  rt::TaskGraph graph(opts.num_workers);
   rt::RegionMap region_map;
-  if (parallel && graph.validation_enabled()) {
+  if (graph.validation_enabled()) {
     register_sy2sb_regions(region_map, tiles, q1);
     graph.set_region_map(&region_map);
   }
-  // In sequential mode run each "task" immediately; in parallel mode submit
-  // to the hazard-tracking graph.  Both paths execute the identical kernel
-  // sequence, which tests exploit.
-  auto run = [&](std::function<void()> fn,
-                 const std::vector<rt::Access>& accesses, int priority,
-                 const char* label) -> idx {
-    if (parallel) {
-      rt::TaskGraph::Options topts;
-      topts.priority = priority;
-      topts.label = label;
-      return graph.submit(std::move(fn), accesses, topts);
-    }
-    // Sequential path: same kernels, same order; the span keeps the
-    // serial timeline comparable with the parallel one.
-    obs::Span span(label);
-    fn();
-    return -1;
-  };
 
   // Look-ahead bookkeeping: every task id of panel j, so the chain head of
   // panel j + lookahead + 1 can be gated on the panel's completion.  The
@@ -175,7 +155,7 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
 
   for (idx j = 0; j + 1 < nt; ++j) {
     auto panel_task = [&, j](idx id) {
-      if (parallel) panel_tasks[static_cast<size_t>(j)].push_back(id);
+      panel_tasks[static_cast<size_t>(j)].push_back(id);
       return id;
     };
     const idx m1 = tiles.rows_of(j + 1);
@@ -186,7 +166,7 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
     tgj.reshape(kj, kj);
 
     // --- Panel: GEQRT on tile (j+1, j). ---
-    const idx chain_head = panel_task(run(
+    const idx chain_head = panel_task(graph.submit(
         [&tiles, &vgj, &tgj, j, m1, kj, nb] {
           rt::touch_write(tile_key(j + 1, j));
           rt::touch_write(
@@ -197,18 +177,18 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
         },
         {rt::wr(tile_key(j + 1, j)),
          rt::wr(rt::region_key(kTagVg, static_cast<std::uint32_t>(j), 0))},
-        /*priority=*/3, "geqrt"));
+        {.priority = 3, .label = "geqrt"}));
     // Depth gate: the whole factorization chain of panel j (this GEQRT and
     // its TSQRT tree, which the tile (j+1, j) hazards serialize behind it)
     // may only start once panel j - lookahead - 1 has completely finished.
-    if (parallel && j >= static_cast<idx>(lookahead) + 1) {
+    if (j >= static_cast<idx>(lookahead) + 1) {
       const auto& gate =
           panel_tasks[static_cast<size_t>(j - lookahead - 1)];
       for (idx before : gate) graph.add_dependency(before, chain_head);
     }
 
     // --- Two-sided application of the GEQRT reflector. ---
-    panel_task(run(
+    panel_task(graph.submit(
         [&tiles, &vgj, &tgj, j, m1, kj] {
           rt::touch_read(
               rt::region_key(kTagVg, static_cast<std::uint32_t>(j), 0));
@@ -219,9 +199,9 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
         },
         {rt::rd(rt::region_key(kTagVg, static_cast<std::uint32_t>(j), 0)),
          rt::wr(tile_key(j + 1, j + 1))},
-        /*priority=*/2, "syrfb"));
+        {.priority = 2, .label = "syrfb"}));
     for (idx k = j + 2; k < nt; ++k) {
-      panel_task(run(
+      panel_task(graph.submit(
           [&tiles, &vgj, &tgj, j, k, m1, kj] {
             rt::touch_read(
                 rt::region_key(kTagVg, static_cast<std::uint32_t>(j), 0));
@@ -234,7 +214,7 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
           },
           {rt::rd(rt::region_key(kTagVg, static_cast<std::uint32_t>(j), 0)),
            rt::wr(tile_key(k, j + 1))},
-          /*priority=*/1, "ormqr"));
+          {.priority = 1, .label = "ormqr"}));
     }
 
     // --- Flat TSQRT tree coupling tile (j+1, j) with each tile below. ---
@@ -249,7 +229,7 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
       const auto vkey = rt::region_key(kTagVts, static_cast<std::uint32_t>(i),
                                        static_cast<std::uint32_t>(j));
 
-      panel_task(run(
+      panel_task(graph.submit(
           [&tiles, &vts, &tts, i, j, m1, m2, nb, vkey] {
             rt::touch_write(tile_key(j + 1, j));
             rt::touch_write(tile_key(i, j));
@@ -263,10 +243,10 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
           },
           {rt::wr(tile_key(j + 1, j)), rt::wr(tile_key(i, j)),
            rt::wr(vkey)},
-          /*priority=*/3, "tsqrt"));
+          {.priority = 3, .label = "tsqrt"}));
 
       // Corner: tiles (j+1, j+1), (i, j+1), (i, i).
-      panel_task(run(
+      panel_task(graph.submit(
           [&tiles, &vts, &tts, i, j, m1, m2, nb, vkey] {
             rt::touch_read(vkey);
             rt::touch_write(tile_key(j + 1, j + 1));
@@ -280,14 +260,14 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
           },
           {rt::rd(vkey), rt::wr(tile_key(j + 1, j + 1)),
            rt::wr(tile_key(i, j + 1)), rt::wr(tile_key(i, i))},
-          /*priority=*/2, "tsmqr_corner"));
+          {.priority = 2, .label = "tsmqr_corner"}));
 
       // Remaining pairs in the trailing submatrix.
       for (idx k2 = j + 2; k2 < nt; ++k2) {
         if (k2 == i) continue;
         if (k2 > i) {
           // Right update of the stored pair (k2, j+1), (k2, i).
-          panel_task(run(
+          panel_task(graph.submit(
               [&tiles, &vts, &tts, i, j, k2, m1, m2, nb, vkey] {
                 rt::touch_read(vkey);
                 rt::touch_write(tile_key(k2, j + 1));
@@ -300,11 +280,11 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
               },
               {rt::rd(vkey), rt::wr(tile_key(k2, j + 1)),
                rt::wr(tile_key(k2, i))},
-              /*priority=*/1, "tsmqr_right"));
+              {.priority = 1, .label = "tsmqr_right"}));
         } else {
           // Left update where the block-row-(j+1) tile is stored transposed
           // (the symmetric-layout "hetra" case).
-          panel_task(run(
+          panel_task(graph.submit(
               [&tiles, &vts, &tts, i, j, k2, m1, m2, nb, vkey] {
                 rt::touch_read(vkey);
                 rt::touch_write(tile_key(k2, j + 1));
@@ -318,27 +298,25 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
               },
               {rt::rd(vkey), rt::wr(tile_key(k2, j + 1)),
                rt::wr(tile_key(i, k2))},
-              /*priority=*/1, "tsmqr_left"));
+              {.priority = 1, .label = "tsmqr_left"}));
         }
       }
     }
   }
 
-  if (parallel) {
-    if (lookahead >= 1) {
-      // Depth-aware priorities: the height of each task in the gated DAG
-      // (longest chain of tasks it still heads, the obs critical-path DP).
-      // The panel chains tower over their trailing updates, so ready-queue
-      // order drives the next panel's GEQRT/TSQRT forward while tsmqr
-      // updates stream on the remaining workers.  Depth 0 keeps the legacy
-      // static 3/2/1 scheme -- with a single panel in flight there is no
-      // chain to favor.
-      graph.apply_critical_path_priorities();
-    }
-    graph.set_schedule_info(lookahead,
-                            lookahead >= 1 ? "critical-path" : "static");
-    graph.run(num_workers);
+  if (lookahead >= 1) {
+    // Depth-aware priorities: the height of each task in the gated DAG
+    // (longest chain of tasks it still heads, the obs critical-path DP).
+    // The panel chains tower over their trailing updates, so ready-queue
+    // order drives the next panel's GEQRT/TSQRT forward while tsmqr updates
+    // stream on the remaining workers.  Depth 0 keeps the legacy static
+    // 3/2/1 scheme -- with a single panel in flight there is no chain to
+    // favor.
+    graph.apply_critical_path_priorities();
   }
+  graph.set_schedule_info(lookahead,
+                          lookahead >= 1 ? "critical-path" : "static");
+  graph.run();
 
   // Extract the band: diagonal tiles plus the R factors left in the
   // subdiagonal tiles.
@@ -366,15 +344,14 @@ void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
               int num_workers, idx col_block) {
   require(col_block > 0, "apply_q1: col_block must be positive");
   if (q1.nt <= 1 || ncols == 0) return;
-  num_workers = rt::resolve_num_workers(num_workers);
   const idx nt = q1.nt;
   const idx nb = q1.nb;
-  const bool parallel = num_workers > 1;
-  rt::TaskGraph graph;
+  rt::TaskGraph graph(num_workers);
+  const int nw = graph.num_workers();
 
   const idx ncb = (ncols + col_block - 1) / col_block;
   rt::RegionMap region_map;
-  if (parallel && graph.validation_enabled()) {
+  if (graph.validation_enabled()) {
     // Row-block r x column-block cb of G: per-column intervals (a bounding
     // box would falsely overlap other row blocks interleaved in the
     // column-major storage).
@@ -399,18 +376,6 @@ void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
   auto slot_key = [](idx j) {
     return rt::region_key(kTagQ1Slot, static_cast<std::uint32_t>(j % kQ1Slots),
                           0);
-  };
-  auto run = [&](std::function<void()> fn, std::vector<rt::Access> acc,
-                 int hint, const char* label) {
-    if (parallel) {
-      rt::TaskGraph::Options opts;
-      opts.label = label;
-      opts.worker_hint = hint;
-      graph.submit(std::move(fn), acc, opts);
-    } else {
-      obs::Span span(label);
-      fn();
-    }
   };
 
   // Each panel's reflectors are packed once per call (V^T, op(T) and
@@ -443,12 +408,12 @@ void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
   //   G <- Q1^T G = Q_{nt-2}^T (... (Q_0^T G)): the reverse.
   for (idx step = 0; step + 1 < nt; ++step) {
     const idx j = trans == op::none ? nt - 2 - step : step;
-    run(
+    graph.submit(
         [&, j] {
           rt::touch_write(slot_key(j));
           pack_panel(j);
         },
-        {rt::wr(slot_key(j))}, -1, "q1_pack");
+        {rt::wr(slot_key(j))}, {.label = "q1_pack"});
     for (idx cb = 0; cb < ncb; ++cb) {
       const idx c0 = cb * col_block;
       const idx nc = std::min(col_block, ncols - c0);
@@ -456,10 +421,9 @@ void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
       // Static column ownership (Figure 3c) when every worker can own a
       // block; with fewer blocks the panel wavefront inside a block is the
       // only parallelism, so those tasks stay free to run anywhere.
-      const int hint =
-          ncb >= num_workers ? static_cast<int>(cb % num_workers) : -1;
+      const int hint = ncb >= nw ? static_cast<int>(cb % nw) : -1;
       auto ts_task = [&](idx i) {
-        run(
+        graph.submit(
             [&, i, j, cb, nc, g1] {
               rt::touch_read(slot_key(j));
               rt::touch_write(g_key(j + 1, cb));
@@ -469,17 +433,17 @@ void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
             },
             {rt::rd(slot_key(j)), rt::wr(g_key(j + 1, cb)),
              rt::wr(g_key(i, cb))},
-            hint, "q1_tsmqr");
+            {.worker_hint = hint, .label = "q1_tsmqr"});
       };
       auto geqrt_task = [&] {
-        run(
+        graph.submit(
             [&, j, cb, nc, g1] {
               rt::touch_read(slot_key(j));
               rt::touch_write(g_key(j + 1, cb));
               pack_of(j).geqrt.apply(g1, ldg, nc);
             },
-            {rt::rd(slot_key(j)), rt::wr(g_key(j + 1, cb))}, hint,
-            "q1_ormqr");
+            {rt::rd(slot_key(j)), rt::wr(g_key(j + 1, cb))},
+            {.worker_hint = hint, .label = "q1_ormqr"});
       };
       if (trans == op::none) {
         for (idx i = nt - 1; i >= j + 2; --i) ts_task(i);
@@ -490,7 +454,7 @@ void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
       }
     }
   }
-  if (parallel) graph.run(num_workers);
+  graph.run();
 }
 
 }  // namespace tseig::twostage

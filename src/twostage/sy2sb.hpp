@@ -54,11 +54,11 @@ struct Sy2sbResult {
 
 /// Scheduling options of the dense-to-band reduction.
 struct Sy2sbOptions {
-  /// == 1 runs the plain sequential tile loop; > 1 executes the task DAG on
-  /// that many workers borrowed from the persistent pool; <= 0 selects the
-  /// library default (TSEIG_NUM_THREADS).
+  /// Workers of the task DAG, borrowed from the persistent pool; <= 0
+  /// selects the library default (TSEIG_NUM_THREADS).  At 1 the graph is
+  /// inline and the tile tasks run in submission order.
   int num_workers = 1;
-  /// Look-ahead depth of the panel pipeline (parallel runs only).  The
+  /// Look-ahead depth of the panel pipeline (graphs of > 1 worker only).  The
   /// factorization chain of panel j (its GEQRT + TSQRT tree) starts as soon
   /// as the updates touching panel j's own columns are done AND panel
   /// j - 1 - lookahead has fully completed, so at most lookahead + 1 panels

@@ -72,18 +72,6 @@ Matrix random_matrix(idx m, idx n, Rng& rng) {
   return a;
 }
 
-Matrix random_symmetric(idx n, Rng& rng) {
-  Matrix a(n, n);
-  for (idx j = 0; j < n; ++j) {
-    for (idx i = j; i < n; ++i) {
-      const double v = 2.0 * rng.uniform() - 1.0;
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  }
-  return a;
-}
-
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   double worst = 0.0;
   for (idx j = 0; j < a.cols(); ++j)

@@ -38,9 +38,6 @@ Matrix tri_full(uplo ul, diag d, idx n, const double* a, idx lda);
 /// Random m-by-n matrix with entries uniform in (-1, 1).
 Matrix random_matrix(idx m, idx n, Rng& rng);
 
-/// Random symmetric n-by-n matrix (full storage, both triangles coherent).
-Matrix random_symmetric(idx n, Rng& rng);
-
 // ---- Error metrics ----
 
 /// max_ij |a(i,j) - b(i,j)|.

@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "lapack/aux.hpp"
+#include "lapack/generators.hpp"
 #include "test_support.hpp"
 
 namespace tseig {
@@ -54,7 +55,7 @@ TEST(Aux, LacpyTriUpperRectangular) {
 TEST(Aux, LansyMatchesDenseNorms) {
   const idx n = 23;
   Rng rng(3);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   // Symmetric one-norm equals infinity-norm equals the dense one-norm.
   const double dense_one =
       lapack::lange(lapack::norm::one, n, n, a.data(), a.ld());

@@ -18,6 +18,7 @@
 #include "common/flops.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "lapack/generators.hpp"
 #include "runtime/task_graph.hpp"
 #include "solver/syev.hpp"
 #include "solver/syev_batch.hpp"
@@ -46,7 +47,7 @@ TEST(ConcurrentClients, SyevFromManyHostThreadsIsBitwiseStable) {
   std::vector<solver::SyevResult> refs;
   for (int c = 0; c < kClients; ++c) {
     Rng rng(100 + static_cast<std::uint64_t>(c));
-    mats.push_back(testing::random_symmetric(48 + 8 * c, rng));
+    mats.push_back(lapack::random_symmetric(48 + 8 * c, rng));
     SyevOptions opts;
     opts.nb = 12;
     refs.push_back(
@@ -93,7 +94,7 @@ TEST(ConcurrentClients, MixedConstructsShareThePool) {
   for (idx i = 0; i < n; ++i) x[static_cast<size_t>(i)] = static_cast<double>(i);
 
   Rng rng(7);
-  Matrix a = testing::random_symmetric(40, rng);
+  Matrix a = lapack::random_symmetric(40, rng);
   SyevOptions sopts;
   sopts.nb = 8;
   sopts.num_workers = 2;
@@ -167,7 +168,7 @@ TEST(ConcurrentClients, ConcurrentBatchesMatchSequential) {
     Rng rng(200 + static_cast<std::uint64_t>(b));
     for (idx n : {idx{8}, idx{24}, idx{40}, idx{56}}) {
       storage[static_cast<size_t>(b)].push_back(
-          testing::random_symmetric(n, rng));
+          lapack::random_symmetric(n, rng));
       solver::BatchProblem p;
       p.n = n;
       p.a = storage[static_cast<size_t>(b)].back().data();
@@ -211,7 +212,7 @@ TEST(ConcurrentClients, FlopCountsStayPerClient) {
   // clients run the same solve on the same pool (pool work is credited back
   // to the forking thread, nobody else).
   Rng rng(17);
-  Matrix a = testing::random_symmetric(64, rng);
+  Matrix a = lapack::random_symmetric(64, rng);
   SyevOptions opts;
   opts.nb = 16;
   opts.num_workers = 4;

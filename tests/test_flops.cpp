@@ -11,6 +11,7 @@
 #include "blas/blas3.hpp"
 #include "common/flops.hpp"
 #include "common/rng.hpp"
+#include "lapack/generators.hpp"
 #include "solver/syev.hpp"
 #include "test_support.hpp"
 #include "tridiag/bisect.hpp"
@@ -63,7 +64,7 @@ TEST(Flops, ZeroAlphaCountsNothing) {
 TEST(Flops, OneStageReductionNearFourThirdsNCubed) {
   const idx n = 96;
   Rng rng(4);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   solver::SyevOptions opts;
   opts.algo = solver::method::one_stage;
   opts.job = solver::jobz::values_only;
@@ -81,7 +82,7 @@ TEST(Flops, TwoStageUpdateIsRoughlyTwiceOneStage) {
   // against the one-stage 2n^3 f (modulo the ell/nb diamond overhead).
   const idx n = 128;
   Rng rng(5);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   solver::SyevOptions one;
   one.algo = solver::method::one_stage;
@@ -104,7 +105,7 @@ TEST(Flops, TwoStageUpdateIsRoughlyTwiceOneStage) {
 TEST(Flops, FractionScalesUpdatePhase) {
   const idx n = 120;
   Rng rng(6);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   solver::SyevOptions opts;
   opts.algo = solver::method::two_stage;
   opts.solver = solver::eig_solver::bisect;

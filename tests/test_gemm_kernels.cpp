@@ -18,6 +18,7 @@
 #include "blas/kernels/registry.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "lapack/generators.hpp"
 #include "runtime/thread_pool.hpp"
 #include "solver/syev.hpp"
 #include "test_support.hpp"
@@ -27,7 +28,7 @@ namespace {
 
 using testing::max_abs_diff;
 using testing::random_matrix;
-using testing::random_symmetric;
+using lapack::random_symmetric;
 using testing::ref_gemm;
 
 namespace kern = blas::kernels;

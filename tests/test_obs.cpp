@@ -17,6 +17,7 @@
 
 #include "blas/kernels/registry.hpp"
 #include "common/rng.hpp"
+#include "lapack/generators.hpp"
 #include "obs/hwc.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
@@ -90,7 +91,7 @@ TEST(Obs, DisabledRecordingIsANoOp) {
 TEST(Obs, SyevRoundTripThroughExporters) {
   const idx n = 192;
   Rng rng(7);
-  const Matrix a = testing::random_symmetric(n, rng);
+  const Matrix a = lapack::random_symmetric(n, rng);
   Matrix work = a;
 
   obs::reset();
@@ -174,7 +175,7 @@ TEST(Obs, SyevRoundTripThroughExporters) {
 TEST(Obs, PerSolveExportPathsWriteFilesAndRestoreState) {
   const idx n = 64;
   Rng rng(11);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   obs::reset();
   ASSERT_FALSE(obs::enabled());

@@ -12,6 +12,7 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "lapack/generators.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
 #include "solver/syev.hpp"
@@ -34,7 +35,7 @@ const bool forced_threads = [] {
 TEST(ParallelStress, RepeatedFullSolvesAreBitIdentical) {
   const idx n = 72;
   Rng rng(3);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   solver::SyevOptions seq;
   seq.nb = 12;
   seq.ell = 8;
@@ -56,7 +57,7 @@ TEST(ParallelStress, RepeatedFullSolvesAreBitIdentical) {
 TEST(ParallelStress, Sy2sbManyWorkerCounts) {
   const idx n = 96, nb = 16;
   Rng rng(5);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   auto ref = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
   Matrix refb = ref.band.to_dense();
   for (int w : {2, 3, 5, 8, 13}) {
@@ -180,7 +181,7 @@ TEST(ParallelStress, NestedSolveInsideTaskGraphIsSafe) {
   // oversubscribes, and each task's result matches a top-level solve.
   const idx n = 40;
   Rng rng(23);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   solver::SyevOptions opts;
   opts.nb = 8;
   opts.ell = 4;

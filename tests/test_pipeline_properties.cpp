@@ -120,7 +120,7 @@ TEST_P(PipelineBandwidths, TwoStageAcrossTilings) {
   // The result must be independent of nb and ell choices.
   const auto [n, nb, ell] = GetParam();
   Rng rng(n + nb + ell);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   SyevOptions opts;
   opts.nb = nb;

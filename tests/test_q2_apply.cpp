@@ -145,7 +145,7 @@ struct BackTransformCase {
 
 BackTransformCase back_transform_case(idx n, idx nb, idx ncols) {
   Rng rng(n + nb + ncols);
-  const Matrix a = testing::random_symmetric(n, rng);
+  const Matrix a = lapack::random_symmetric(n, rng);
   BackTransformCase c;
   c.s1 = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
   c.s2 = twostage::sb2st(c.s1.band);
@@ -252,7 +252,7 @@ TEST_P(FullChainShapes, TwoStageEigensolverSolvesA) {
   //   Z = Q1 Q2 E  via apply_q2 then apply_q1 (Eq. 3).
   const auto [n, nb, ell] = GetParam();
   Rng rng(n * 3 + nb);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   auto s1 = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
   auto s2 = twostage::sb2st(s1.band);

@@ -2,6 +2,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include <cstdlib>
 
 #include "common/rng.hpp"
+#include "obs/telemetry.hpp"
 #include "runtime/env.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
@@ -329,6 +331,83 @@ TEST(Runtime, BackToBackRunsCreateNoThreadsWhenWarm) {
   EXPECT_EQ(after.threads_created, warm.threads_created)
       << "warm TaskGraph::run spawned OS threads";
   EXPECT_GT(after.jobs_executed, warm.jobs_executed);
+}
+
+// ---- Inline graphs: one worker runs each task inside submit() -------------
+
+TEST(InlineGraph, RunsEachBodyInsideSubmitInSubmissionOrder) {
+  TaskGraph g(1);
+  EXPECT_EQ(g.num_workers(), 1);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    // Priorities and hints are scheduling hints; an inline graph has no
+    // ready queue, so submission order is the schedule.
+    const idx id = g.submit([&order, i] { order.push_back(i); },
+                            {wr(region_key(20, static_cast<std::uint32_t>(i),
+                                           0))},
+                            {.priority = -i, .worker_hint = i});
+    EXPECT_EQ(id, -1);
+    ASSERT_EQ(order.size(), static_cast<size_t>(i + 1));  // ran already
+    EXPECT_EQ(order.back(), i);
+  }
+  EXPECT_EQ(g.size(), 0);
+  EXPECT_FALSE(g.validation_enabled());
+  g.add_dependency(0, 1);  // nothing to order any more: a no-op
+  g.apply_critical_path_priorities();
+  g.set_schedule_info(1, "critical-path");
+  g.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(InlineGraph, RecordsOneSpanPerTaskAndNoGraphRun) {
+  obs::reset();
+  obs::set_enabled(true);
+  {
+    TaskGraph g(1);
+    g.submit([] {}, {wr(region_key(21, 0, 0))}, {.label = "inline_a"});
+    g.submit([] {}, {rd(region_key(21, 0, 0))}, {.label = "inline_b"});
+    g.run();
+  }
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset();
+  std::vector<std::string> labels;
+  for (const obs::SpanRecord& sp : snap.spans) labels.push_back(sp.label);
+  EXPECT_EQ(labels, (std::vector<std::string>{"inline_a", "inline_b"}));
+  EXPECT_TRUE(snap.graphs.empty());
+}
+
+TEST(InlineGraph, TaskExceptionLeavesSubmit) {
+  TaskGraph g(1);
+  int after = 0;
+  EXPECT_THROW(g.submit([] { throw std::runtime_error("boom"); },
+                        {wr(region_key(22, 0, 0))}),
+               std::runtime_error);
+  // Nothing was stored, so the graph goes on running what comes next.
+  g.submit([&after] { ++after; }, {wr(region_key(22, 0, 0))});
+  EXPECT_EQ(after, 1);
+  EXPECT_NO_THROW(g.run());
+}
+
+TEST(InlineGraph, GraphBuiltInsidePoolWorkerRunsInline) {
+  std::atomic<int> inline_graphs{0};
+  rt::ThreadPool::instance().fork_join(2, [&](int) {
+    TaskGraph g(4);
+    bool ran = false;
+    g.submit([&ran] { ran = true; }, {wr(region_key(23, 0, 0))});
+    if (g.num_workers() == 1 && ran) ++inline_graphs;
+    g.run();
+  });
+  EXPECT_EQ(inline_graphs.load(), 2);
+}
+
+TEST(InlineGraph, WorkerCountIsFixedAtConstruction) {
+  TaskGraph counted(2);
+  EXPECT_EQ(counted.num_workers(), 2);
+  EXPECT_THROW(counted.run(2), invalid_argument);
+  TaskGraph deferred;
+  EXPECT_EQ(deferred.num_workers(), 0);
+  EXPECT_THROW(deferred.run(), invalid_argument);
 }
 
 // ---- Ready-queue ordering: FIFO tie-break, aging, critical-path ------------

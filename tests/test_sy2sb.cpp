@@ -37,7 +37,7 @@ class Sy2sbShapes
 TEST_P(Sy2sbShapes, ReconstructsAAndPreservesBand) {
   const auto [n, nb, workers] = GetParam();
   Rng rng(n * 7 + nb);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   auto res = twostage::sy2sb(n, a.data(), a.ld(), nb, workers);
   EXPECT_EQ(res.band.bandwidth(), std::min<idx>(nb, n - 1));
@@ -72,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Sy2sb, ParallelMatchesSequential) {
   const idx n = 80, nb = 16;
   Rng rng(11);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   auto seq = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
   auto par = twostage::sy2sb(n, a.data(), a.ld(), nb, 4);
   // The DAG execution must produce bit-identical results to the sequential
@@ -108,7 +108,7 @@ TEST(Sy2sb, PreservesEigenvalues) {
 TEST(Sy2sb, ApplyQ1TransIsInverse) {
   const idx n = 48, nb = 8;
   Rng rng(17);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   auto res = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
 
   Matrix g = testing::random_matrix(n, 10, rng);
@@ -124,7 +124,7 @@ TEST(Sy2sb, ApplyQ1ParallelMatchesSequential) {
   // panel wavefront is the only parallelism).
   const idx n = 64, nb = 16;
   Rng rng(19);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   auto res = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
 
   const Matrix g = testing::random_matrix(n, 40, rng);
@@ -148,7 +148,7 @@ TEST(Sy2sb, ApplyQ1ParallelMatchesSequential) {
 TEST(Sy2sb, SingleTileIsIdentityQ1) {
   const idx n = 10;
   Rng rng(23);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   auto res = twostage::sy2sb(n, a.data(), a.ld(), 16, 1);  // nb >= n
   Matrix b = res.band.to_dense();
   EXPECT_LE(max_abs_diff(b, a), 0.0);
@@ -202,7 +202,7 @@ TEST_P(Sy2sbLookahead, BitwiseIdenticalToSequentialAcrossDepths) {
   for (idx n : {idx{7}, idx{8}, idx{9}, idx{17}, idx{80}}) {
     SCOPED_TRACE(n);
     Rng rng(n * 101 + depth);
-    Matrix a = testing::random_symmetric(n, rng);
+    Matrix a = lapack::random_symmetric(n, rng);
     auto seq = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
     twostage::Sy2sbOptions o;
     o.num_workers = workers;
@@ -225,7 +225,7 @@ TEST(Sy2sbLookaheadValidate, AuditCleanAndFuzzMatchesElisionBitwise) {
   rt::set_validation(true);
   const idx n = 72, nb = 12;
   Rng rng(311);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   rt::set_serial_elision(true);
   twostage::Sy2sbOptions oracle_opts;
@@ -282,7 +282,7 @@ TEST(Sy2sbLookaheadSchedule, GateEdgesBoundPanelPipelineDepth) {
   // metadata must identify both configurations.
   const idx n = 256, nb = 32;
   Rng rng(3);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   auto record = [&](int depth) {
     obs::reset();
     obs::set_enabled(true);
@@ -342,7 +342,7 @@ TEST(Sy2sb, BandProfileIsExact) {
   // the band dense expansion symmetric.
   const idx n = 40, nb = 8;
   Rng rng(29);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   auto res = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
   Matrix b = res.band.to_dense();
   for (idx j = 0; j < n; ++j)

@@ -35,7 +35,7 @@ TEST_P(SyevConfigs, FullEigenpairsSolveA) {
   const auto cfg = GetParam();
   const idx n = 72;
   Rng rng(91);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   SyevOptions opts;
   opts.algo = cfg.algo;
@@ -57,7 +57,7 @@ TEST_P(SyevConfigs, ValuesOnlyMatchesVectorRun) {
   const auto cfg = GetParam();
   const idx n = 48;
   Rng rng(17);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   SyevOptions opts;
   opts.algo = cfg.algo;
@@ -78,7 +78,7 @@ TEST_P(SyevConfigs, TwentyPercentSubset) {
   const auto cfg = GetParam();
   const idx n = 60;
   Rng rng(23);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   SyevOptions opts;
   opts.algo = cfg.algo;
@@ -135,7 +135,7 @@ TEST(Syev, OneAndTwoStageAgreeOnKnownSpectrum) {
 TEST(Syev, ParallelWorkersMatchSequential) {
   const idx n = 80;
   Rng rng(31);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   SyevOptions seq;
   seq.nb = 16;
@@ -157,7 +157,7 @@ TEST(Syev, SuccessiveBandsProduceCorrectEigenpairs) {
   // the extra Q2 level), checked via the residual ||A z - lambda z||.
   const idx n = 96;
   Rng rng(41);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   SyevOptions opts;
   opts.nb = 16;
@@ -180,7 +180,7 @@ TEST(Syev, SuccessiveBandsProduceCorrectEigenpairs) {
 TEST(Syev, PhaseBreakdownIsConsistent) {
   const idx n = 64;
   Rng rng(37);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   SyevOptions opts;
   opts.nb = 16;
   auto res = syev(n, a.data(), a.ld(), opts);
@@ -210,7 +210,7 @@ TEST(Syev, RejectsNonFiniteInputNamingTheEntry) {
   // offending lower-triangle entry named.
   const idx n = 64;
   Rng rng(43);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   a(40, 17) = std::numeric_limits<double>::quiet_NaN();
   for (method algo : {method::two_stage, method::one_stage}) {
     SyevOptions opts;
@@ -229,7 +229,7 @@ TEST(Syev, RejectsNonFiniteInputNamingTheEntry) {
 TEST(Syev, TinyMatrices) {
   Rng rng(41);
   for (idx n : {idx{1}, idx{2}, idx{3}, idx{5}}) {
-    Matrix a = testing::random_symmetric(n, rng);
+    Matrix a = lapack::random_symmetric(n, rng);
     for (method algo : {method::one_stage, method::two_stage}) {
       SyevOptions opts;
       opts.algo = algo;
@@ -250,7 +250,7 @@ TEST(Syev, TinyMatricesTwoStageAllConfigs) {
   // combination must handle n = 1, 2, 3 through the two-stage path.
   Rng rng(43);
   for (idx n : {idx{1}, idx{2}, idx{3}}) {
-    Matrix a = testing::random_symmetric(n, rng);
+    Matrix a = lapack::random_symmetric(n, rng);
 
     // Reference spectrum from the one-stage QR path.  The whole test pins
     // the closed-form lane off: it exists to exercise the two-stage
@@ -295,23 +295,28 @@ TEST(Syev, MatgenTortureCatalogBothMethods) {
   // Adversarial spectra with known ground truth (tests/support/matgen):
   // clustered at ulp spacing, graded to condition 1e15, Wilkinson ladders,
   // sign flips, exact zeros, each at scales 1e-120 / 1 / 1e120.  Both
-  // reduction methods must pass the residual/orthogonality oracles AND
-  // reproduce the prescribed eigenvalues to the Weyl-scaled bound.
+  // reduction methods, with the D&C and the bisection + inverse iteration
+  // tails, must pass the residual/orthogonality oracles AND reproduce the
+  // prescribed eigenvalues to the Weyl-scaled bound.
   const idx n = 48;
   for (const auto& spec : testing::matgen::torture_cases(n, 2026)) {
     const auto g = testing::matgen::generate(spec);
-    for (method algo : {method::one_stage, method::two_stage}) {
-      SCOPED_TRACE(::testing::Message()
-                   << testing::matgen::class_name(spec.cls) << " scale "
-                   << spec.scale << (algo == method::one_stage ? " one" : " two")
-                   << "-stage");
-      SyevOptions opts;
-      opts.algo = algo;
-      opts.nb = 16;
-      auto res = syev(n, g.a.data(), g.a.ld(), opts);
-      EXPECT_TRUE(testing::check_eigen_pairs(g.a, res.eigenvalues, res.z));
-      EXPECT_TRUE(testing::check_eigenvalues(g.eigs, res.eigenvalues));
-    }
+    for (method algo : {method::one_stage, method::two_stage})
+      for (eig_solver tail : {eig_solver::dc, eig_solver::bisect}) {
+        SCOPED_TRACE(::testing::Message()
+                     << testing::matgen::class_name(spec.cls) << " scale "
+                     << spec.scale
+                     << (algo == method::one_stage ? " one" : " two")
+                     << "-stage"
+                     << (tail == eig_solver::dc ? " dc" : " bisect"));
+        SyevOptions opts;
+        opts.algo = algo;
+        opts.solver = tail;
+        opts.nb = 16;
+        auto res = syev(n, g.a.data(), g.a.ld(), opts);
+        EXPECT_TRUE(testing::check_eigen_pairs(g.a, res.eigenvalues, res.z));
+        EXPECT_TRUE(testing::check_eigenvalues(g.eigs, res.eigenvalues));
+      }
   }
 }
 
@@ -319,7 +324,7 @@ TEST(Syev, AutoNbSelectsValidTiling) {
   // nb == 0 picks a size-dependent tile width; results must stay correct.
   Rng rng(47);
   for (idx n : {idx{40}, idx{200}, idx{700}}) {
-    Matrix a = testing::random_symmetric(n, rng);
+    Matrix a = lapack::random_symmetric(n, rng);
     SyevOptions opts;
     opts.nb = 0;
     auto res = solver::syev(n, a.data(), a.ld(), opts);

@@ -13,6 +13,7 @@
 
 #include "common/flops.hpp"
 #include "common/rng.hpp"
+#include "lapack/generators.hpp"
 #include "matgen.hpp"
 #include "obs/telemetry.hpp"
 #include "solver/syev.hpp"
@@ -66,7 +67,7 @@ std::vector<BatchProblem> make_mixed_batch(std::vector<Matrix>& storage,
   };
   std::vector<BatchProblem> batch;
   for (const Spec& s : specs) {
-    storage.push_back(testing::random_symmetric(s.n, rng));
+    storage.push_back(lapack::random_symmetric(s.n, rng));
     BatchProblem p;
     p.n = s.n;
     p.a = storage.back().data();
@@ -151,7 +152,7 @@ TEST(SyevBatch, EmptyBatch) {
 
 TEST(SyevBatch, SingleProblem) {
   Rng rng(7);
-  Matrix a = testing::random_symmetric(32, rng);
+  Matrix a = lapack::random_symmetric(32, rng);
   BatchProblem p;
   p.n = 32;
   p.a = a.data();
@@ -169,7 +170,7 @@ TEST(SyevBatch, AliasedProblemsShareOneMatrix) {
   // The input is const: the same matrix may appear in several problems
   // under different option sets.
   Rng rng(9);
-  Matrix a = testing::random_symmetric(40, rng);
+  Matrix a = lapack::random_symmetric(40, rng);
   const Matrix pristine = a;
   std::vector<BatchProblem> batch(3);
   for (BatchProblem& p : batch) {
@@ -293,7 +294,7 @@ TEST(SyevBatch, PerProblemFlopsAreIsolated) {
   // equal to a sequential solve's -- concurrency must not cross-attribute
   // work between problems (thread-local counters + pool propagation).
   Rng rng(13);
-  Matrix a = testing::random_symmetric(48, rng);
+  Matrix a = lapack::random_symmetric(48, rng);
   BatchProblem p;
   p.n = 48;
   p.a = a.data();
@@ -352,7 +353,7 @@ TEST(SyevBatch, TraceEmitsTwoEventsPerProblem) {
 
 TEST(SyevBatch, RejectsMalformedProblemsBeforeSolving) {
   Rng rng(17);
-  Matrix a = testing::random_symmetric(8, rng);
+  Matrix a = lapack::random_symmetric(8, rng);
   BatchProblem good;
   good.n = 8;
   good.a = a.data();
@@ -372,7 +373,7 @@ TEST(SyevBatch, RejectsMalformedProblemsBeforeSolving) {
 
   // A non-finite entry in the last problem: rejected, naming the entry,
   // before any problem is solved (not a single flop runs).
-  Matrix nan3 = testing::random_symmetric(3, rng);
+  Matrix nan3 = lapack::random_symmetric(3, rng);
   nan3(2, 1) = std::numeric_limits<double>::quiet_NaN();
   BatchProblem bad_entry = good;
   bad_entry.n = 3;

@@ -25,7 +25,7 @@ class RangeMethods : public ::testing::TestWithParam<method> {};
 TEST_P(RangeMethods, IndexRangeMatchesFullSpectrum) {
   const idx n = 56;
   Rng rng(5);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   SyevOptions all;
   all.algo = GetParam();
@@ -89,7 +89,7 @@ TEST_P(RangeMethods, EmptyValueRangeGivesNoPairs) {
 TEST_P(RangeMethods, ValuesOnlyIndexRange) {
   const idx n = 40;
   Rng rng(11);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
 
   SyevOptions all;
   all.algo = GetParam();
@@ -111,7 +111,7 @@ TEST_P(RangeMethods, ValuesOnlyIndexRange) {
 TEST_P(RangeMethods, SingleEigenpair) {
   const idx n = 30;
   Rng rng(13);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   SyevOptions opts;
   opts.algo = GetParam();
   opts.nb = 8;
@@ -126,7 +126,7 @@ TEST_P(RangeMethods, SingleEigenpair) {
 TEST_P(RangeMethods, BadRangesThrow) {
   const idx n = 10;
   Rng rng(15);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   SyevOptions opts;
   opts.algo = GetParam();
   opts.sel = range::by_index;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/flops.hpp"
+#include "lapack/generators.hpp"
 #include "matgen.hpp"
 #include "solver/syev_batch.hpp"
 #include "solver/syev_small.hpp"
@@ -361,10 +362,10 @@ TEST(SyevSmallBatch, MixedSizeBatchRoutesAndMatchesSequential) {
   // 40 tiny lane-eligible problems, 2 medium whole-problem ones and one
   // above the crossover (full-budget path) in one batch.
   for (int rep = 0; rep < 40; ++rep)
-    store.push_back(testing::random_symmetric(1 + rep % 3, rng));
-  store.push_back(testing::random_symmetric(64, rng));
-  store.push_back(testing::random_symmetric(48, rng));
-  store.push_back(testing::random_symmetric(300, rng));
+    store.push_back(lapack::random_symmetric(1 + rep % 3, rng));
+  store.push_back(lapack::random_symmetric(64, rng));
+  store.push_back(lapack::random_symmetric(48, rng));
+  store.push_back(lapack::random_symmetric(300, rng));
   for (const Matrix& m : store)
     problems.push_back({m.rows(), m.data(), m.ld(), lane_on()});
 
@@ -402,7 +403,7 @@ TEST(SyevSmallBatch, LaneOptOutRestoresOldScheduling) {
   std::vector<Matrix> store;
   std::vector<BatchProblem> problems;
   for (int rep = 0; rep < 8; ++rep)
-    store.push_back(testing::random_symmetric(2 + rep % 2, rng));
+    store.push_back(lapack::random_symmetric(2 + rep % 2, rng));
   for (const Matrix& m : store)
     problems.push_back({m.rows(), m.data(), m.ld(), lane_off()});
   const auto batch = solver::syev_batch(problems, {});

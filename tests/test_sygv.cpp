@@ -68,7 +68,7 @@ TEST(Potrf, RejectsIndefinite) {
 TEST(Sygst, BlockedMatchesUnblocked) {
   const idx n = 70;
   Rng rng(3);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   Matrix b = random_spd(n, rng);
   Matrix l = b;
   lapack::potrf(n, l.data(), l.ld(), 16);
@@ -84,7 +84,7 @@ TEST(Sygst, StandardFormIsSimilar) {
   // C = inv(L) A inv(L)^T must satisfy L C L^T == A.
   const idx n = 40;
   Rng rng(5);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   Matrix b = random_spd(n, rng);
   Matrix l = b;
   lapack::potrf(n, l.data(), l.ld(), 16);
@@ -110,7 +110,7 @@ class SygvMethods : public ::testing::TestWithParam<solver::method> {};
 TEST_P(SygvMethods, GeneralizedResidualAndBOrthogonality) {
   const idx n = 56;
   Rng rng(7);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   Matrix b = random_spd(n, rng);
 
   solver::SyevOptions opts;
@@ -171,7 +171,7 @@ TEST_P(SygvMethods, KnownGeneralizedSpectrum) {
 TEST_P(SygvMethods, SubsetFraction) {
   const idx n = 50;
   Rng rng(11);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   Matrix b = random_spd(n, rng);
   solver::SyevOptions opts;
   opts.algo = GetParam();

@@ -47,7 +47,7 @@ class SytrdShapes : public ::testing::TestWithParam<std::tuple<idx, idx>> {};
 TEST_P(SytrdShapes, ReconstructsA) {
   const auto [n, nb] = GetParam();
   Rng rng(n * 10 + nb);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   Matrix a0 = a;
 
   std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n)),
@@ -70,7 +70,7 @@ TEST_P(SytrdShapes, ReconstructsA) {
 TEST_P(SytrdShapes, OrmtrTransIsInverse) {
   const auto [n, nb] = GetParam();
   Rng rng(n * 17 + nb);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n)),
       tau(static_cast<size_t>(n));
   onestage::sytrd(n, a.data(), a.ld(), d.data(), e.data(), tau.data(), nb);
@@ -99,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Sytrd, BlockedMatchesUnblocked) {
   const idx n = 72;
   Rng rng(3);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   Matrix b = a;
   std::vector<double> da(static_cast<size_t>(n)), ea(static_cast<size_t>(n)),
       ta(static_cast<size_t>(n));
@@ -132,7 +132,7 @@ TEST(Sytrd, FullEigensolvePipeline) {
   // sytrd -> steqr accumulating into Q -> eigenpairs of A.
   const idx n = 80;
   Rng rng(21);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   Matrix a0 = a;
   std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n)),
       tau(static_cast<size_t>(n));

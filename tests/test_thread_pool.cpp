@@ -18,6 +18,7 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "lapack/generators.hpp"
 #include "runtime/thread_pool.hpp"
 #include "solver/syev.hpp"
 #include "test_support.hpp"
@@ -135,7 +136,7 @@ TEST(ThreadPool, WarmSyevCreatesZeroNewThreads) {
   // parallel_for executes on the already-parked pool.
   const idx n = 72;
   Rng rng(17);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   solver::SyevOptions opts;
   opts.algo = solver::method::two_stage;
   opts.solver = solver::eig_solver::dc;
@@ -168,7 +169,7 @@ TEST(ThreadPool, AutoWorkerCountResolvesThroughSyev) {
   // one place; the solve must succeed and use the pool.
   const idx n = 48;
   Rng rng(19);
-  Matrix a = testing::random_symmetric(n, rng);
+  Matrix a = lapack::random_symmetric(n, rng);
   solver::SyevOptions opts;
   opts.nb = 8;
   opts.num_workers = 0;

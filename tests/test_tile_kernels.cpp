@@ -7,6 +7,7 @@
 #include "blas/blas3.hpp"
 #include "common/rng.hpp"
 #include "lapack/aux.hpp"
+#include "lapack/generators.hpp"
 #include "lapack/householder.hpp"
 #include "test_support.hpp"
 #include "twostage/tile_kernels.hpp"
@@ -178,7 +179,7 @@ TEST_P(TsmqrShapes, CornerMatchesDenseTwoSided) {
   Matrix h = dense_ts_reflector(k, m2, v2, t);
 
   const idx m = k + m2;
-  Matrix full = testing::random_symmetric(m, rng);
+  Matrix full = lapack::random_symmetric(m, rng);
   // Extract lower-storage tiles.
   Matrix a11(k, k), a21(m2, k), a22(m2, m2);
   for (idx j = 0; j < k; ++j)
@@ -222,7 +223,7 @@ TEST(TileMatrix, RoundTripsDense) {
   Rng rng(31);
   for (idx n : {idx{1}, idx{5}, idx{16}, idx{33}, idx{64}}) {
     for (idx nb : {idx{4}, idx{8}, idx{16}}) {
-      Matrix a = testing::random_symmetric(n, rng);
+      Matrix a = lapack::random_symmetric(n, rng);
       twostage::SymTileMatrix t(n, nb);
       t.from_dense(a.data(), a.ld());
       Matrix back = t.to_dense();

@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "lapack/aux.hpp"
+#include "lapack/generators.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/validate.hpp"
 #include "solver/syev.hpp"
@@ -313,7 +314,7 @@ TEST(DynamicChecker, Sb2stDroppedWriteDeclarationIsCaught) {
   Rng rng(77);
   const idx n = 48;
   const idx nb = 4;
-  const Matrix a = tseig::testing::random_symmetric(n, rng);
+  const Matrix a = tseig::lapack::random_symmetric(n, rng);
   twostage::BandMatrix band(n, nb);
   for (idx j = 0; j < n; ++j)
     for (idx i = j; i < std::min(n, j + nb + 1); ++i)
@@ -338,7 +339,7 @@ TEST(ValidatedPipelines, FiveAlgorithmGraphsAuditClean) {
   rt::set_validation(true);
   Rng rng(123);
   const idx n = 96;
-  const Matrix a = tseig::testing::random_symmetric(n, rng);
+  const Matrix a = tseig::lapack::random_symmetric(n, rng);
 
   // sy2sb + apply_q1 (stage 1).
   auto s1 = twostage::sy2sb(n, a.data(), a.ld(), 16, 4);
@@ -367,7 +368,7 @@ TEST(ValidatedPipelines, FiveAlgorithmGraphsAuditClean) {
 
   // syev_batch (whole-problem fan-out).
   std::vector<Matrix> mats;
-  for (int i = 0; i < 4; ++i) mats.push_back(tseig::testing::random_symmetric(24, rng));
+  for (int i = 0; i < 4; ++i) mats.push_back(tseig::lapack::random_symmetric(24, rng));
   std::vector<solver::BatchProblem> problems;
   for (auto& m : mats) problems.push_back({24, m.data(), m.ld(), {}});
   solver::SyevBatchOptions bo;
@@ -391,7 +392,7 @@ TEST(ScheduleFuzzer, FuzzedRunsMatchSerialElisionBitwise) {
   ConfigGuard guard;
   Rng rng(31415);
   const idx n = 72;
-  const Matrix a = tseig::testing::random_symmetric(n, rng);
+  const Matrix a = tseig::lapack::random_symmetric(n, rng);
 
   solver::SyevOptions base;
   base.nb = 12;

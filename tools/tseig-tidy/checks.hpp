@@ -27,12 +27,10 @@
 //                                 system_clock/gettimeofday timestamps jump
 //                                 under NTP and break trace merging.
 //
-// Two implementations share this contract: the dependency-free token-level
-// engine in checks.cpp (built everywhere, drives the blocking CI leg and the
-// gtest fixtures) and the clang-tidy AST plugin in plugin/TseigTidyModule.cpp
-// (built where Clang dev libraries exist, loaded by scripts/run_tidy.sh via
-// -load).  Fixture files under fixtures/ seed one violation per check; the
-// tests assert both engines' check names against them.
+// The dependency-free token-level engine in checks.cpp implements this
+// contract (built everywhere, drives the blocking CI leg and the gtest
+// fixtures).  Fixture files under fixtures/ seed one violation per check;
+// the tests assert the check names against them.
 #pragma once
 
 #include <string>
